@@ -21,7 +21,7 @@ use broadmatch_memcost::CostModel;
 
 use crate::directory::SLOT_BYTES;
 use crate::hash::FxBuildHasher;
-use crate::optimize::Mapping;
+use crate::optimize::{GroupMeta, Mapping};
 use crate::wordset::subset_count;
 use crate::{QueryWorkload, WordSet};
 
@@ -34,13 +34,33 @@ pub(crate) const MAX_TRACKED_LEN: usize = 32;
 ///
 /// `hist[ℓ]` after suffix-summing is `acc_ge(L, ℓ)`: the total frequency of
 /// workload queries `Q ⊇ L` with `|Q| ≥ ℓ`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct LenHist {
-    /// Suffix sums once [`AccTable::build`] finalizes.
+    /// Plain per-length counts while accumulating, suffix sums once
+    /// [`AccTable::for_keys`] finalizes.
     acc_ge: Vec<u64>,
 }
 
+impl Default for LenHist {
+    fn default() -> Self {
+        LenHist {
+            acc_ge: vec![0; MAX_TRACKED_LEN + 1],
+        }
+    }
+}
+
 impl LenHist {
+    fn add(&mut self, query_len: usize, freq: u64) {
+        self.acc_ge[query_len.min(MAX_TRACKED_LEN)] += freq;
+    }
+
+    fn into_suffix_sums(mut self) -> Self {
+        for i in (0..MAX_TRACKED_LEN).rev() {
+            self.acc_ge[i] += self.acc_ge[i + 1];
+        }
+        self
+    }
+
     pub(crate) fn acc_total(&self) -> u64 {
         self.acc_ge.first().copied().unwrap_or(0)
     }
@@ -51,22 +71,57 @@ impl LenHist {
     }
 }
 
-/// Co-access table: for every word set that occurs as a subset of some
-/// workload query (bounded by `max_words`), the frequency mass of queries
-/// containing it.
+/// Co-access table: for each locator a caller will read, the frequency mass
+/// of the workload queries containing it.
 #[derive(Debug, Default)]
 pub(crate) struct AccTable {
     map: HashMap<WordSet, LenHist, FxBuildHasher>,
 }
 
 impl AccTable {
-    /// Enumerate each workload query's subsets (sizes `1..=max_words`,
-    /// capped at `probe_cap` per query — mirroring the query-time cutoff)
-    /// and accumulate frequencies.
-    pub(crate) fn build(workload: &QueryWorkload, max_words: usize, probe_cap: usize) -> Self {
-        let mut raw: HashMap<WordSet, Vec<u64>, FxBuildHasher> = HashMap::default();
+    /// Count the workload into exactly `keys`. Each query's subsets are
+    /// enumerated as at query time (sizes `1..=max_words`, at most
+    /// `probe_cap` per query); since they come smallest first, enumeration
+    /// stops past the longest key. A key that is never enumerated reads 0.
+    pub(crate) fn for_keys<'k>(
+        keys: impl IntoIterator<Item = &'k WordSet>,
+        workload: &QueryWorkload,
+        max_words: usize,
+        probe_cap: usize,
+    ) -> Self {
+        let mut raw: HashMap<WordSet, LenHist, FxBuildHasher> = HashMap::default();
+        for key in keys {
+            if !raw.contains_key(key) {
+                raw.insert(key.clone(), LenHist::default());
+            }
+        }
+        let longest = raw.keys().map(WordSet::len).max().unwrap_or(0);
         for q in workload.queries() {
-            let len_bucket = q.total_len.min(MAX_TRACKED_LEN);
+            let mut iter = q.set.subsets(max_words.min(longest));
+            let mut probes = 0usize;
+            while let Some(subset) = iter.next_subset() {
+                if probes >= probe_cap {
+                    break;
+                }
+                probes += 1;
+                if let Some(hist) = raw.get_mut(subset) {
+                    hist.add(q.total_len, q.freq);
+                }
+            }
+        }
+        let map = raw
+            .into_iter()
+            .map(|(set, hist)| (set, hist.into_suffix_sums()))
+            .collect();
+        AccTable { map }
+    }
+
+    /// Reference build: every enumerated subset of every query becomes a
+    /// key. [`AccTable::for_keys`] must agree with it on every key.
+    #[cfg(test)]
+    pub(crate) fn build(workload: &QueryWorkload, max_words: usize, probe_cap: usize) -> Self {
+        let mut raw: HashMap<WordSet, LenHist, FxBuildHasher> = HashMap::default();
+        for q in workload.queries() {
             let mut iter = q.set.subsets(max_words);
             let mut probes = 0usize;
             while let Some(subset) = iter.next_subset() {
@@ -74,27 +129,19 @@ impl AccTable {
                     break;
                 }
                 probes += 1;
-                let hist = raw
-                    .entry(WordSet::from_sorted(subset.to_vec()))
-                    .or_insert_with(|| vec![0; MAX_TRACKED_LEN + 1]);
-                hist[len_bucket] += q.freq;
+                raw.entry(WordSet::from_sorted(subset.to_vec()))
+                    .or_default()
+                    .add(q.total_len, q.freq);
             }
         }
-        // Convert plain histograms to suffix sums.
         let map = raw
             .into_iter()
-            .map(|(set, hist)| {
-                let mut acc = hist;
-                for i in (0..MAX_TRACKED_LEN).rev() {
-                    acc[i] += acc[i + 1];
-                }
-                (set, LenHist { acc_ge: acc })
-            })
+            .map(|(set, hist)| (set, hist.into_suffix_sums()))
             .collect();
         AccTable { map }
     }
 
-    pub(crate) fn get(&self, set: &WordSet) -> Option<&LenHist> {
+    fn get(&self, set: &WordSet) -> Option<&LenHist> {
         self.map.get(set)
     }
 
@@ -106,7 +153,7 @@ impl AccTable {
         self.get(set).map_or(0, |h| h.acc_ge(len))
     }
 
-    #[allow(dead_code)] // used by optimizer diagnostics
+    /// Number of keys counted.
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
@@ -143,8 +190,8 @@ pub struct MappingCost {
 
 /// Evaluate `Cost(WL, M)` for `groups` under `mapping`.
 ///
-/// `group_bytes[i]` is the encoded size of group `i`'s node entry;
-/// `group_len[i]` is its word count.
+/// `group_words[i]` is group `i`'s word set and `group_bytes[i]` the
+/// encoded size of its node entry.
 pub(crate) fn evaluate_mapping(
     group_words: &[WordSet],
     group_bytes: &[usize],
@@ -155,8 +202,27 @@ pub(crate) fn evaluate_mapping(
     probe_cap: usize,
 ) -> MappingCost {
     assert_eq!(group_words.len(), group_bytes.len());
-    let acc = AccTable::build(workload, max_words, probe_cap);
+    let groups: Vec<GroupMeta> = group_words
+        .iter()
+        .zip(group_bytes)
+        .map(|(words, &bytes)| GroupMeta { words, bytes })
+        .collect();
+    let acc = AccTable::for_keys(mapping.locators(), workload, max_words, probe_cap);
+    price_mapping(&groups, mapping, &acc, workload, cost, max_words, probe_cap)
+}
 
+/// `Cost(WL, M)` of `mapping` priced from `acc`, which must have been built
+/// from the same workload and bounds with every locator of `mapping` as a
+/// key.
+pub(crate) fn price_mapping(
+    groups: &[GroupMeta<'_>],
+    mapping: &Mapping,
+    acc: &AccTable,
+    workload: &QueryWorkload,
+    cost: &CostModel,
+    max_words: usize,
+    probe_cap: usize,
+) -> MappingCost {
     // Cost_Hash: each query pays (subset lookups) probes, each a random
     // access reading mem_hash bytes.
     let mut hash_cost = 0.0;
@@ -168,7 +234,7 @@ pub(crate) fn evaluate_mapping(
 
     // Cost_Node: group nodes by locator and apply weight(S).
     let mut nodes: HashMap<&WordSet, Vec<usize>, FxBuildHasher> = HashMap::default();
-    for g in 0..group_words.len() {
+    for g in 0..groups.len() {
         nodes.entry(mapping.locator(g)).or_default().push(g);
     }
     let mut node_cost = 0.0;
@@ -181,8 +247,8 @@ pub(crate) fn evaluate_mapping(
             // Equation (2) charges Cost_Scan per stored phrase; entries are
             // contiguous, so the per-entry scan term is exact under any
             // monotone Cost_Scan.
-            let scanned = acc.acc_ge(locator, group_words[g].len()) as f64;
-            node_cost += scanned * cost.cost_scan(group_bytes[g]);
+            let scanned = acc.acc_ge(locator, groups[g].words.len()) as f64;
+            node_cost += scanned * cost.cost_scan(groups[g].bytes);
         }
     }
 
@@ -217,21 +283,28 @@ mod tests {
         w
     }
 
+    fn keyed(keys: &[&[u32]], workload: &QueryWorkload, max_words: usize) -> AccTable {
+        let keys: Vec<WordSet> = keys.iter().map(|k| ws(k)).collect();
+        AccTable::for_keys(&keys, workload, max_words, 1 << 20)
+    }
+
     #[test]
     fn acc_table_counts_supersets() {
         let workload = wl(&[(&[1, 2, 3], 10), (&[1, 2], 5), (&[4], 7)]);
-        let acc = AccTable::build(&workload, 3, 1 << 20);
+        let acc = keyed(&[&[1], &[1, 2], &[1, 2, 3], &[4], &[5]], &workload, 3);
         assert_eq!(acc.acc_total(&ws(&[1])), 15);
         assert_eq!(acc.acc_total(&ws(&[1, 2])), 15);
         assert_eq!(acc.acc_total(&ws(&[1, 2, 3])), 10);
         assert_eq!(acc.acc_total(&ws(&[4])), 7);
         assert_eq!(acc.acc_total(&ws(&[5])), 0);
+        assert_eq!(acc.len(), 5, "only the requested keys are stored");
+        assert_eq!(acc.acc_total(&ws(&[2])), 0, "unrequested keys read 0");
     }
 
     #[test]
     fn acc_ge_respects_query_length() {
         let workload = wl(&[(&[1, 2, 3], 10), (&[1, 2], 5)]);
-        let acc = AccTable::build(&workload, 3, 1 << 20);
+        let acc = keyed(&[&[1]], &workload, 3);
         // Queries containing {1}: both. With >= 3 words: only the first.
         assert_eq!(acc.acc_ge(&ws(&[1]), 2), 15);
         assert_eq!(acc.acc_ge(&ws(&[1]), 3), 10);
@@ -241,13 +314,48 @@ mod tests {
     #[test]
     fn acc_table_respects_max_words() {
         let workload = wl(&[(&[1, 2, 3], 1)]);
-        let acc = AccTable::build(&workload, 2, 1 << 20);
+        let acc = keyed(&[&[1, 2], &[1, 2, 3]], &workload, 2);
         assert_eq!(acc.acc_total(&ws(&[1, 2])), 1);
         assert_eq!(
             acc.acc_total(&ws(&[1, 2, 3])),
             0,
             "size-3 subsets not enumerated"
         );
+    }
+
+    #[test]
+    fn keyed_table_agrees_with_reference_on_every_key() {
+        // Long queries under a binding probe cap: a key's count depends on
+        // where the cap cuts each query's size-ordered enumeration.
+        let workload = wl(&[
+            (&[1, 2, 3, 4, 5, 6], 3),
+            (&[1, 2, 3, 4], 5),
+            (&[2, 4, 6, 8], 2),
+            (&[1, 3], 7),
+            (&[5, 6, 9], 4),
+            (&[9], 1),
+        ]);
+        for (max_words, probe_cap) in [(3, 1 << 20), (3, 9), (4, 20), (2, 4)] {
+            let reference = AccTable::build(&workload, max_words, probe_cap);
+            // Every subset of every query, so some keys lie past the cap.
+            let uncapped = AccTable::build(&workload, max_words, 1 << 20);
+            let mut keys: Vec<&WordSet> = uncapped.map.keys().collect();
+            keys.sort();
+            let every = AccTable::for_keys(keys.iter().copied(), &workload, max_words, probe_cap);
+            // Pairs only: the singletons before them are not keys but still
+            // use up the cap, and enumeration stops after size 2.
+            let pairs: Vec<&WordSet> = keys.iter().copied().filter(|k| k.len() == 2).collect();
+            let few = AccTable::for_keys(pairs.iter().copied(), &workload, max_words, probe_cap);
+            for key in keys {
+                for len in 0..=MAX_TRACKED_LEN + 1 {
+                    let want = reference.acc_ge(key, len);
+                    assert_eq!(every.acc_ge(key, len), want, "key {key:?}, cap {probe_cap}");
+                    if key.len() == 2 {
+                        assert_eq!(few.acc_ge(key, len), want, "pair {key:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

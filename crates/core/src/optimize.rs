@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 use broadmatch_memcost::CostModel;
 
-use crate::costmodel::AccTable;
+use crate::costmodel::{price_mapping, AccTable};
 use crate::hash::FxBuildHasher;
 use crate::{QueryWorkload, WordId, WordSet};
 
@@ -53,6 +53,11 @@ impl Mapping {
     /// The locator of group `g`.
     pub fn locator(&self, g: usize) -> &WordSet {
         &self.locators[g]
+    }
+
+    /// Every group's locator, index-aligned with the groups.
+    pub(crate) fn locators(&self) -> &[WordSet] {
+        &self.locators
     }
 
     /// Number of groups mapped.
@@ -195,15 +200,25 @@ fn standalone_weight(
         + acc.acc_ge(locator, group_len) as f64 * cost.cost_scan(group_bytes)
 }
 
-/// Candidate destination locators of a group: subsets of its words (size
-/// `1..=max_words`) that exist as another group's word set, plus its own
-/// word set when short enough. Sorted by ascending standalone weight,
-/// truncated to [`MAX_LOCATORS_PER_GROUP`].
+/// Group index by word set, probed with borrowed subset slices.
+type GroupIndex<'a> = HashMap<&'a [WordId], usize, FxBuildHasher>;
+
+fn index_groups<'a>(groups: &[GroupMeta<'a>]) -> GroupIndex<'a> {
+    groups
+        .iter()
+        .enumerate()
+        .map(|(i, g)| (g.words.ids(), i))
+        .collect()
+}
+
+/// Candidate destination locators of a group, unranked: subsets of its
+/// words (size `1..=max_words`) that exist as another group's word set, plus
+/// its own word set when short enough; a synthetic locator when there is
+/// neither. [`rank_candidates`] orders them once the access table exists.
 fn candidate_locators(
     g: usize,
     input: &OptimizerInput<'_>,
-    group_index: &HashMap<&WordSet, usize, FxBuildHasher>,
-    acc: &AccTable,
+    group_index: &GroupIndex<'_>,
 ) -> Vec<WordSet> {
     let meta = &input.groups[g];
     let mut out: Vec<WordSet> = Vec::new();
@@ -220,9 +235,8 @@ fn candidate_locators(
         if subset.len() == meta.words.len() {
             continue; // identity handled above
         }
-        let set = WordSet::from_sorted(subset.to_vec());
-        if group_index.contains_key(&set) {
-            out.push(set);
+        if group_index.contains_key(subset) {
+            out.push(WordSet::from_sorted(subset.to_vec()));
         }
     }
     if out.is_empty() {
@@ -232,13 +246,34 @@ fn candidate_locators(
             input.word_freq,
         ));
     }
-    out.sort_by(|a, b| {
-        let wa = standalone_weight(a, meta.words.len(), meta.bytes, acc, input.cost);
-        let wb = standalone_weight(b, meta.words.len(), meta.bytes, acc, input.cost);
+    out
+}
+
+/// Sort a group's candidates by ascending standalone weight (stably, so
+/// ties keep enumeration order) and truncate to [`MAX_LOCATORS_PER_GROUP`].
+fn rank_candidates(
+    cands: &mut Vec<WordSet>,
+    meta: &GroupMeta<'_>,
+    acc: &AccTable,
+    cost: &CostModel,
+) {
+    cands.sort_by(|a, b| {
+        let wa = standalone_weight(a, meta.words.len(), meta.bytes, acc, cost);
+        let wb = standalone_weight(b, meta.words.len(), meta.bytes, acc, cost);
         wa.partial_cmp(&wb).expect("finite weights")
     });
-    out.truncate(MAX_LOCATORS_PER_GROUP);
-    out
+    cands.truncate(MAX_LOCATORS_PER_GROUP);
+}
+
+/// The access table the optimizer prices from: the workload counted into
+/// exactly the given candidate locators.
+fn candidate_table(input: &OptimizerInput<'_>, cands: &[Vec<WordSet>]) -> AccTable {
+    AccTable::for_keys(
+        cands.iter().flatten(),
+        input.workload,
+        input.max_words,
+        input.probe_cap,
+    )
 }
 
 /// The *long-only* strategy (Fig. 10 variant (b)): groups short enough to be
@@ -246,29 +281,54 @@ fn candidate_locators(
 /// cheapest candidate destination. Also the local heuristic used when
 /// inserting new ads at runtime (Section VI, maintenance).
 pub(crate) fn remap_long_only(input: &OptimizerInput<'_>) -> Mapping {
-    let acc = AccTable::build(input.workload, input.max_words, input.probe_cap);
-    let group_index: HashMap<&WordSet, usize, FxBuildHasher> = input
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (g.words, i))
-        .collect();
+    remap_long_only_with(input, candidate_table)
+}
 
-    let locators = input
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(g, meta)| {
-            if meta.words.len() <= input.max_words {
-                meta.words.clone()
+/// [`remap_long_only`] pricing from the table `table` builds over the
+/// long groups' candidates (index-aligned with the groups, empty for short
+/// ones).
+pub(crate) fn remap_long_only_with(
+    input: &OptimizerInput<'_>,
+    table: impl FnOnce(&OptimizerInput<'_>, &[Vec<WordSet>]) -> AccTable,
+) -> Mapping {
+    let started = std::time::Instant::now();
+    let group_index = index_groups(input.groups);
+    let is_long = |meta: &GroupMeta<'_>| meta.words.len() > input.max_words;
+    let mut cands: Vec<Vec<WordSet>> = (0..input.groups.len())
+        .map(|g| {
+            if is_long(&input.groups[g]) {
+                candidate_locators(g, input, &group_index)
             } else {
-                candidate_locators(g, input, &group_index, &acc)
-                    .into_iter()
-                    .next()
-                    .expect("candidate_locators never returns empty")
+                Vec::new()
             }
         })
         .collect();
+    let acc = table(input, &cands);
+    let candidates = cands.iter().map(Vec::len).sum();
+
+    let mut remapped = 0;
+    let locators = input
+        .groups
+        .iter()
+        .zip(&mut cands)
+        .map(|(meta, ranked)| {
+            if is_long(meta) {
+                remapped += 1;
+                rank_candidates(ranked, meta, &acc, input.cost);
+                ranked.swap_remove(0)
+            } else {
+                meta.words.clone()
+            }
+        })
+        .collect();
+    crate::telemetry::record_remap_run(
+        "long_only",
+        candidates,
+        remapped,
+        false,
+        acc.len(),
+        started.elapsed(),
+    );
     Mapping::new(locators)
 }
 
@@ -276,33 +336,39 @@ pub(crate) fn remap_long_only(input: &OptimizerInput<'_>) -> Mapping {
 /// candidate node contents, solved with the lazy greedy (optionally followed
 /// by withdrawal steps).
 pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mapping {
+    remap_full_with(input, withdrawals, candidate_table)
+}
+
+/// [`remap_full`] pricing from the table `table` builds over every group's
+/// candidates.
+pub(crate) fn remap_full_with(
+    input: &OptimizerInput<'_>,
+    withdrawals: bool,
+    table: impl FnOnce(&OptimizerInput<'_>, &[Vec<WordSet>]) -> AccTable,
+) -> Mapping {
     let n = input.groups.len();
     if n == 0 {
         return Mapping::new(Vec::new());
     }
     let started = std::time::Instant::now();
-    let acc = AccTable::build(input.workload, input.max_words, input.probe_cap);
-    let group_index: HashMap<&WordSet, usize, FxBuildHasher> = input
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (g.words, i))
+    let group_index = index_groups(input.groups);
+    let mut best_locators: Vec<Vec<WordSet>> = (0..n)
+        .map(|g| candidate_locators(g, input, &group_index))
         .collect();
+    // Every locator either mapping below uses is one of these candidates.
+    let acc = table(input, &best_locators);
 
     // Per-group standalone cost at its best locator (for the §V-B pruning).
-    let mut best_locators: Vec<Vec<WordSet>> = Vec::with_capacity(n);
     let mut standalone: Vec<f64> = Vec::with_capacity(n);
-    for g in 0..n {
-        let cands = candidate_locators(g, input, &group_index, &acc);
-        let best = standalone_weight(
+    for (meta, cands) in input.groups.iter().zip(&mut best_locators) {
+        rank_candidates(cands, meta, &acc, input.cost);
+        standalone.push(standalone_weight(
             &cands[0],
-            input.groups[g].words.len(),
-            input.groups[g].bytes,
-            acc_ref(&acc),
+            meta.words.len(),
+            meta.bytes,
+            &acc,
             input.cost,
-        );
-        standalone.push(best);
-        best_locators.push(cands);
+        ));
     }
 
     // Locator -> groups that can live there.
@@ -354,7 +420,7 @@ pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mappi
         scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
 
         // The locator's owner group (if any) anchors every prefix.
-        let owner = group_index.get(*locator).copied();
+        let owner = group_index.get(locator.ids()).copied();
         let mut prefix: Vec<usize> = Vec::new();
         let mut weight = base;
         if let Some(o) = owner {
@@ -410,7 +476,9 @@ pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mappi
     for &ci in &solution.chosen {
         let (li, ref groups) = tags[ci];
         for &g in groups {
-            let is_owner = group_index.get(&locator_store[li]).is_some_and(|&o| o == g);
+            let is_owner = group_index
+                .get(locator_store[li].ids())
+                .is_some_and(|&o| o == g);
             match assigned[g] {
                 None => assigned[g] = Some(li),
                 Some(_) if is_owner => assigned[g] = Some(li),
@@ -432,8 +500,6 @@ pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mappi
     // Greedy is an H_k approximation, not a guarantee of beating the
     // identity layout; keep whichever the model prefers. (Long groups may
     // not use the identity mapping — substitute their best candidate.)
-    let group_words: Vec<WordSet> = input.groups.iter().map(|g| g.words.clone()).collect();
-    let group_bytes: Vec<usize> = input.groups.iter().map(|g| g.bytes).collect();
     let baseline = Mapping::new(
         (0..n)
             .map(|g| {
@@ -445,30 +511,26 @@ pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mappi
             })
             .collect(),
     );
-    let c_opt = crate::costmodel::evaluate_mapping(
-        &group_words,
-        &group_bytes,
-        &optimized,
-        input.workload,
-        input.cost,
-        input.max_words,
-        input.probe_cap,
-    );
-    let c_base = crate::costmodel::evaluate_mapping(
-        &group_words,
-        &group_bytes,
-        &baseline,
-        input.workload,
-        input.cost,
-        input.max_words,
-        input.probe_cap,
-    );
+    let price = |mapping: &Mapping| {
+        price_mapping(
+            input.groups,
+            mapping,
+            &acc,
+            input.workload,
+            input.cost,
+            input.max_words,
+            input.probe_cap,
+        )
+    };
+    let c_opt = price(&optimized);
+    let c_base = price(&baseline);
     let kept_baseline = c_opt.breakdown.node_cost > c_base.breakdown.node_cost;
     crate::telemetry::record_remap_run(
         if withdrawals { "withdrawals" } else { "greedy" },
         candidates.len(),
         solution.chosen.len(),
         kept_baseline,
+        acc.len(),
         started.elapsed(),
     );
     if kept_baseline {
@@ -478,15 +540,10 @@ pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mappi
     }
 }
 
-/// Identity helper so the borrow checker sees a reborrow, not a move.
-fn acc_ref(acc: &AccTable) -> &AccTable {
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costmodel::evaluate_mapping;
+    use crate::costmodel::{evaluate_mapping, MappingCost};
     use crate::WeightedQuery;
 
     fn ws(ids: &[u32]) -> WordSet {
@@ -591,10 +648,21 @@ mod tests {
             probe_cap: 4096,
             word_freq: &freq_uniform,
         };
+        let counter = |name: &str| {
+            broadmatch_telemetry::Registry::global()
+                .snapshot()
+                .counter(name, "mode=\"long_only\"")
+                .unwrap_or(0)
+        };
+        let runs = counter("broadmatch_remap_runs_total");
+        let keys = counter("broadmatch_remap_acc_keys_total");
         let m = remap_long_only(&input);
         assert_eq!(m.locator(1), &ws(&[1, 2]));
         // No synthetic locators needed.
         assert_eq!(m.stats(&groups_ws).synthetic_locators, 0);
+        // Other tests share the global registry, so only lower bounds hold.
+        assert!(counter("broadmatch_remap_runs_total") > runs);
+        assert!(counter("broadmatch_remap_acc_keys_total") > keys);
     }
 
     #[test]
@@ -651,6 +719,112 @@ mod tests {
         let m = remap_full(&input, false);
         m.validate(&groups_ws, 8, false).unwrap();
         assert_eq!(m.distinct_nodes(), 2, "cold giant must stay separate");
+    }
+
+    /// Seeded corpus whose skewed vocabulary makes long groups share short
+    /// sub-phrases, plus a workload of group supersets with unknown words.
+    fn seeded_instance(seed: u64) -> (Vec<WordSet>, Vec<usize>, QueryWorkload) {
+        let mut state = seed;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut word = || {
+            let r = rng() % 40;
+            WordId((r * r / 40) as u32)
+        };
+        let mut sets: Vec<WordSet> = Vec::new();
+        while sets.len() < 80 {
+            let len = 1 + (word().0 % 7) as usize;
+            let s = WordSet::from_unsorted((0..len).map(|_| word()).collect());
+            if !sets.contains(&s) {
+                sets.push(s);
+            }
+        }
+        let bytes: Vec<usize> = sets.iter().map(|s| 16 + 9 * s.len()).collect();
+        let mut workload = QueryWorkload::new();
+        for i in 0..120 {
+            let mut ids: Vec<WordId> = sets[(i * 7) % sets.len()].ids().to_vec();
+            ids.extend((0..i % 4).map(|_| word()));
+            let set = WordSet::from_unsorted(ids);
+            workload.push(WeightedQuery {
+                total_len: set.len() + i % 2,
+                set,
+                freq: 1 + (i as u64 * 13) % 50,
+            });
+        }
+        (sets, bytes, workload)
+    }
+
+    #[test]
+    fn keyed_table_gives_the_reference_mapping_and_cost() {
+        for seed in [0x9e37_79b9_7f4a_7c15u64, 0x2545_f491_4f6c_dd1d] {
+            let (sets, bytes, explicit) = seeded_instance(seed);
+            let uniform = QueryWorkload::uniform_over(sets.iter().cloned());
+            let metas: Vec<GroupMeta> = sets
+                .iter()
+                .zip(&bytes)
+                .map(|(w, &b)| GroupMeta { words: w, bytes: b })
+                .collect();
+            let cost = CostModel::dram();
+            for workload in [&explicit, &uniform] {
+                for (max_words, probe_cap) in [(3, 4096), (4, 12)] {
+                    assert!(sets.iter().any(|s| s.len() > max_words));
+                    let input = OptimizerInput {
+                        groups: &metas,
+                        workload,
+                        cost: &cost,
+                        max_words,
+                        probe_cap,
+                        word_freq: &freq_uniform,
+                    };
+                    let reference = |i: &OptimizerInput<'_>, _: &[Vec<WordSet>]| {
+                        AccTable::build(i.workload, i.max_words, i.probe_cap)
+                    };
+                    let mappings = [
+                        (
+                            remap_long_only(&input),
+                            remap_long_only_with(&input, reference),
+                        ),
+                        (
+                            remap_full(&input, false),
+                            remap_full_with(&input, false, reference),
+                        ),
+                        (
+                            remap_full(&input, true),
+                            remap_full_with(&input, true, reference),
+                        ),
+                    ];
+                    for (keyed, want) in &mappings {
+                        assert_eq!(keyed, want, "seed {seed:#x}, max_words {max_words}");
+                        assert!(keyed.stats(&sets).remapped_groups > 0);
+                        let modeled = evaluate_mapping(
+                            &sets, &bytes, keyed, workload, &cost, max_words, probe_cap,
+                        );
+                        let priced = price_mapping(
+                            &metas,
+                            keyed,
+                            &AccTable::build(workload, max_words, probe_cap),
+                            workload,
+                            &cost,
+                            max_words,
+                            probe_cap,
+                        );
+                        let bits = |c: &MappingCost| {
+                            (
+                                c.breakdown.hash_cost.to_bits(),
+                                c.breakdown.node_cost.to_bits(),
+                                c.expected_node_accesses.to_bits(),
+                                c.nodes,
+                            )
+                        };
+                        assert_eq!(bits(&modeled), bits(&priced));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -296,13 +296,15 @@ impl MaintainCounters {
     }
 }
 
-/// Record one greedy set-cover optimizer run against the global registry
-/// (`broadmatch_remap_*` families).
+/// Record one re-mapping optimizer run against the global registry
+/// (`broadmatch_remap_*` families, labelled by mode: `long_only`, `greedy`
+/// or `withdrawals`).
 pub(crate) fn record_remap_run(
     mode: &str,
     candidates: usize,
     chosen: usize,
     kept_baseline: bool,
+    acc_keys: usize,
     duration: std::time::Duration,
 ) {
     let registry = Registry::global();
@@ -310,24 +312,31 @@ pub(crate) fn record_remap_run(
     registry
         .counter(
             "broadmatch_remap_runs_total",
-            "Set-cover re-mapping optimizer runs",
+            "Re-mapping optimizer runs",
             &labels,
         )
         .inc();
     registry
         .counter(
             "broadmatch_remap_candidates_total",
-            "Candidate node sets generated for the greedy cover",
+            "Candidates priced: node sets for the greedy cover, locators for long-only",
             &labels,
         )
         .add(candidates as u64);
     registry
         .counter(
             "broadmatch_remap_chosen_total",
-            "Candidate sets chosen by the greedy cover",
+            "Candidates chosen: cover sets, or long groups re-mapped by long-only",
             &labels,
         )
         .add(chosen as u64);
+    registry
+        .counter(
+            "broadmatch_remap_acc_keys_total",
+            "Locators the workload access table counted",
+            &labels,
+        )
+        .add(acc_keys as u64);
     if kept_baseline {
         registry
             .counter(

@@ -1,5 +1,7 @@
 //! Canonical word sets and bounded subset enumeration (Section IV-B).
 
+use std::borrow::Borrow;
+
 use crate::{wordhash, WordId};
 
 /// A canonical (sorted, duplicate-free) set of word ids — the paper's
@@ -85,6 +87,16 @@ impl WordSet {
     /// `1..=max_subset_len`, as sorted id vectors. See [`SubsetIter`].
     pub fn subsets(&self, max_subset_len: usize) -> SubsetIter<'_> {
         SubsetIter::new(&self.0, max_subset_len)
+    }
+}
+
+/// Lets a hash map keyed by `WordSet` be probed with a borrowed subset slice
+/// (e.g. from [`SubsetIter::next_subset`]) without allocating. The derived
+/// `Hash`/`Eq` of the newtype hash and compare exactly its slice, so they
+/// agree with `[WordId]`'s.
+impl Borrow<[WordId]> for WordSet {
+    fn borrow(&self) -> &[WordId] {
+        &self.0
     }
 }
 
@@ -251,6 +263,17 @@ mod tests {
         let s = ws(&[2, 4, 6, 8]);
         assert!(s.contains(WordId(6)));
         assert!(!s.contains(WordId(5)));
+    }
+
+    #[test]
+    fn borrowed_slice_probes_a_wordset_map() {
+        use std::hash::{BuildHasher, RandomState};
+        let set = ws(&[3, 7, 11]);
+        let state = RandomState::new();
+        assert_eq!(state.hash_one(&set), state.hash_one(set.ids()));
+        let map: std::collections::HashMap<WordSet, u32> = [(set.clone(), 1)].into();
+        assert_eq!(map.get(&[WordId(3), WordId(7), WordId(11)][..]), Some(&1));
+        assert_eq!(map.get(&[WordId(3), WordId(7)][..]), None);
     }
 
     #[test]

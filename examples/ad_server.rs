@@ -27,7 +27,8 @@
 //! query); `:remove <listing> <phrase>` deletes by exact phrase + listing;
 //! `:compact` folds the overlay into a rebuilt base immediately (a
 //! background worker also folds when the overlay thresholds trip);
-//! `:metrics` dumps the full telemetry registry in Prometheus text format;
+//! `:metrics` dumps the runtime's telemetry registry, then the process-wide
+//! one (index build and re-mapping families), in Prometheus text format;
 //! `:trace` shows the most recent sampled query span traces; `:quit`
 //! exits.
 
@@ -333,6 +334,7 @@ fn run_local() {
             // The full registry, Prometheus text exposition format — the
             // same bytes a /metrics HTTP endpoint would serve.
             print!("{}", runtime.prometheus());
+            print!("{}", Registry::global().render_prometheus());
             continue;
         }
         if line == ":trace" {
