@@ -19,6 +19,18 @@ impl Arena {
         Self::default()
     }
 
+    /// An empty arena with room for `bytes` bytes.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        Arena {
+            bytes: Vec::with_capacity(bytes),
+        }
+    }
+
+    /// Release capacity beyond the current length.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.bytes.len()
     }

@@ -8,7 +8,7 @@
 
 use crate::arena::Arena;
 use crate::directory::NodeDirectory;
-use crate::node::{encode_node, Codec};
+use crate::node::{encode_entries, Codec};
 use crate::BroadMatchIndex;
 
 /// Space comparison between the plain and compressed encodings of an index.
@@ -54,10 +54,9 @@ impl BroadMatchIndex {
         let mut compressed = Arena::new();
         for (start, end) in self.directory().extents() {
             let bytes = self.arena().slice(start as usize, end as usize);
-            let mut entries = crate::node::decode_node(bytes, self.codec());
-            encode_node(&mut entries, Codec::Plain, &mut plain);
-            let mut entries2 = entries;
-            encode_node(&mut entries2, Codec::Compressed, &mut compressed);
+            let entries = crate::node::decode_node(bytes, self.codec());
+            encode_entries(&entries, Codec::Plain, &mut plain);
+            encode_entries(&entries, Codec::Compressed, &mut compressed);
         }
         let entries = self.directory().entries();
         // A plain hash table sized like the builder's: 2x slots of 16 bytes.

@@ -8,9 +8,9 @@ use crate::costmodel::{evaluate_mapping, MappingCost};
 use crate::directory::NodeDirectory;
 use crate::node::{scan_node, Codec, ScanScratch, ScanSummary};
 use crate::optimize::{Mapping, MappingStats};
-use crate::text::{fold_duplicates, tokenize};
+use crate::vocab::QueryIds;
 use crate::wordset::is_sorted_subset;
-use crate::{AdId, AdInfo, QueryWorkload, Vocabulary, WordId, WordSet};
+use crate::{subset_count, AdId, AdInfo, QueryWorkload, Vocabulary, WordId, WordSet};
 
 /// The matching semantics of sponsored search (Section III-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +49,8 @@ pub struct MatchHit {
 pub struct QueryPlan {
     match_type: MatchType,
     /// Canonical probe word set (drives subset filtering during scans).
+    /// For exact match it is the query's complete folded set.
     probe_set: WordSet,
-    /// Complete folded set for exact match.
-    exact_set: Option<WordSet>,
     /// Raw query token ids in order (`None` = word unknown to the vocab).
     raw_query: Vec<Option<WordId>>,
     /// Folded query length (scan sizing hint).
@@ -341,60 +340,28 @@ impl BroadMatchIndex {
     /// known probe words, or (exact match only) an unknown folded token.
     /// Such queries issue zero probes, matching the single-threaded path.
     pub fn plan_query(&self, query_text: &str, match_type: MatchType) -> Option<QueryPlan> {
-        let tokens = tokenize(query_text);
-        let folded = fold_duplicates(&tokens);
-        if folded.is_empty() {
-            return None;
-        }
-        let qlen = folded.len();
-
         // The word set used for subset probing depends on the semantics:
         // phrase match must also probe lower multiplicities of repeated
         // words (a bid "talk talk" appears contiguously in the query
         // "talk talk talk", whose folded set only contains talk×3).
-        let probe_ids: Vec<WordId> = match match_type {
-            MatchType::Broad | MatchType::Exact => folded
-                .iter()
-                .filter_map(|t| self.vocab.get_folded(t))
-                .collect(),
-            MatchType::Phrase => folded
-                .iter()
-                .flat_map(|t| {
-                    (1..=t.count).map(|c| {
-                        crate::text::FoldedToken {
-                            word: t.word.clone(),
-                            count: c,
-                        }
-                        .key()
-                    })
-                })
-                .filter_map(|key| self.vocab.get(&key))
-                .collect(),
-        };
-        let probe_set = WordSet::from_unsorted(probe_ids);
-        if probe_set.is_empty() {
-            return None;
-        }
-
+        let mut ids = QueryIds::default();
+        self.vocab
+            .lookup_ids(query_text, &mut ids, match_type == MatchType::Phrase);
+        let qlen = ids.len;
         // Exact match needs the complete folded set; if any folded query
         // token is unknown to the vocabulary, no bid can match exactly.
-        let exact_set: Option<WordSet> = if match_type == MatchType::Exact {
-            let mut ids = Vec::with_capacity(folded.len());
-            for t in &folded {
-                ids.push(self.vocab.get_folded(t)?);
-            }
-            Some(WordSet::from_unsorted(ids))
-        } else {
-            None
-        };
-
+        if ids.words.is_empty() || (match_type == MatchType::Exact && !ids.complete) {
+            return None;
+        }
+        let probe_set = WordSet::from_sorted(ids.words);
         // Raw query token ids for order-sensitive matching; unknown words
-        // become None and never match a bid word.
-        let raw_query: Vec<Option<WordId>> = tokens.iter().map(|t| self.vocab.get(t)).collect();
+        // are None and never match a bid word.
+        let raw_query = ids.raw;
 
         let max_subset = self.max_locator_len.min(probe_set.len());
+        let n_probes = subset_count(probe_set.len(), max_subset).min(self.config.probe_cap as u64);
         let mut iter = probe_set.subsets(max_subset);
-        let mut probes = Vec::new();
+        let mut probes = Vec::with_capacity(n_probes as usize);
         let mut truncated = false;
         while let Some(subset) = iter.next_subset() {
             if probes.len() >= self.config.probe_cap {
@@ -407,7 +374,6 @@ impl BroadMatchIndex {
         Some(QueryPlan {
             match_type,
             probe_set,
-            exact_set,
             raw_query,
             qlen,
             probes,
@@ -465,7 +431,7 @@ impl BroadMatchIndex {
                     |_, _, ad, info| hits.push(MatchHit { ad, info }),
                 ),
                 MatchType::Exact => {
-                    let target = plan.exact_set.as_ref().expect("set for exact match");
+                    let target = &plan.probe_set;
                     scan_node(
                         bytes,
                         start as u64,

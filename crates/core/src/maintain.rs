@@ -19,7 +19,7 @@ use std::sync::RwLock;
 
 use crate::build::{DirectoryKind, IndexBuilder};
 use crate::directory::NodeDirectory;
-use crate::node::{encode_node, NodeEntry, PhraseGroup};
+use crate::node::{encode_entries, NodeEntry, PhraseGroup};
 use crate::optimize::synthetic_locator;
 use crate::telemetry::MaintainCounters;
 use crate::{AdId, AdInfo, BroadMatchIndex, BuildError, MatchHit, MatchType, WordSet};
@@ -86,17 +86,17 @@ impl MaintainedIndex {
     /// # Errors
     /// Same phrase validation as [`IndexBuilder::add`].
     pub fn insert(&self, phrase: &str, info: AdInfo) -> Result<AdId, BuildError> {
+        if let Some(words) = crate::text::count_over(phrase, u8::MAX as usize) {
+            return Err(BuildError::PhraseTooLong {
+                phrase: phrase.to_string(),
+                words,
+            });
+        }
         let mut idx = self.inner.write().expect("index lock poisoned");
         let (words, raw) = idx.vocab_mut().intern_phrase(phrase);
         if words.is_empty() {
             return Err(BuildError::EmptyPhrase {
                 phrase: phrase.to_string(),
-            });
-        }
-        if raw.len() > u8::MAX as usize {
-            return Err(BuildError::PhraseTooLong {
-                phrase: phrase.to_string(),
-                words: raw.len(),
             });
         }
         let ad_id = idx.alloc_ad_id();
@@ -161,7 +161,7 @@ impl MaintainedIndex {
         let start = idx.arena().len() as u32;
         {
             let (arena, _) = split_arena_dir(&mut idx);
-            encode_node(&mut entries, codec, arena);
+            encode_entries(&entries, codec, arena);
         }
         let len = idx.arena().len() as u32 - start;
         match idx.directory_mut() {
@@ -274,7 +274,7 @@ impl MaintainedIndex {
             let new_start = idx.arena().len() as u32;
             {
                 let (arena, _) = split_arena_dir(&mut idx);
-                encode_node(&mut entries, codec, arena);
+                encode_entries(&entries, codec, arena);
             }
             let new_len = idx.arena().len() as u32 - new_start;
             match idx.directory_mut() {
@@ -410,6 +410,18 @@ mod tests {
         let mut b = IndexBuilder::with_config(cfg);
         b.add("x", AdInfo::default()).unwrap();
         assert!(MaintainedIndex::new(b.build().unwrap()).is_err());
+    }
+
+    #[test]
+    fn rejected_insert_leaves_the_vocabulary_alone() {
+        let index = base_index();
+        let before = index.with_index(|i| i.vocab().len());
+        let long: String = (0..300).map(|i| format!("w{i} ")).collect();
+        assert!(matches!(
+            index.insert(&long, AdInfo::default()),
+            Err(BuildError::PhraseTooLong { words: 300, .. })
+        ));
+        assert_eq!(index.with_index(|i| i.vocab().len()), before);
     }
 
     #[test]

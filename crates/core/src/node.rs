@@ -31,7 +31,8 @@ pub(crate) enum Codec {
     Compressed,
 }
 
-/// Phrases sharing one word set and one word order, with their ads.
+/// Phrases sharing one word set and one word order, with their ads — the
+/// owned form a node decodes into for maintenance.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PhraseGroup {
     /// Raw (unfolded) word ids in original phrase order.
@@ -40,20 +41,36 @@ pub(crate) struct PhraseGroup {
     pub ads: Vec<(AdId, AdInfo)>,
 }
 
-/// One entry: a distinct folded word set with all its phrase groups.
+/// One decoded entry: a distinct folded word set with all its phrase groups.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct NodeEntry {
     pub words: WordSet,
     pub phrases: Vec<PhraseGroup>,
 }
 
-impl NodeEntry {
+/// A borrowed phrase group: what the encoder reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PhraseRef<'a> {
+    /// Raw (unfolded) word ids in original phrase order.
+    pub raw: &'a [WordId],
+    /// Ads bidding exactly this phrase, by ascending id.
+    pub ads: &'a [(AdId, AdInfo)],
+}
+
+/// A borrowed entry: a distinct folded word set with its phrase groups.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EntryRef<'a> {
+    pub words: &'a [WordId],
+    pub phrases: &'a [PhraseRef<'a>],
+}
+
+impl EntryRef<'_> {
     /// Encoded size in bytes under the plain codec — the quantity
     /// `size(phrase(A_i))` + `size(info(A_i))` sums the cost model needs
     /// without actually encoding.
     pub(crate) fn plain_encoded_bytes(&self) -> usize {
         let mut n = 1 + 4 * self.words.len() + 2;
-        for p in &self.phrases {
+        for p in self.phrases {
             n += 1 + 4 * p.raw.len() + 2 + p.ads.len() * (4 + AdInfo::ENCODED_BYTES);
         }
         n
@@ -70,12 +87,12 @@ impl NodeEntry {
 /// 65535 phrase groups per entry, 255 raw words, 65535 ads per phrase) —
 /// these are far beyond anything the corpus generator or paper distributions
 /// produce, so they are programmer errors, not data errors.
-pub(crate) fn encode_node(entries: &mut [NodeEntry], codec: Codec, arena: &mut Arena) {
+pub(crate) fn encode_node(entries: &mut [EntryRef<'_>], codec: Codec, arena: &mut Arena) {
     entries.sort_by(|a, b| {
         a.words
             .len()
             .cmp(&b.words.len())
-            .then_with(|| a.words.cmp(&b.words))
+            .then_with(|| a.words.cmp(b.words))
     });
     let mut prev_words: &[WordId] = &[];
     for entry in entries.iter() {
@@ -88,28 +105,54 @@ pub(crate) fn encode_node(entries: &mut [NodeEntry], codec: Codec, arena: &mut A
             Codec::Plain => encode_entry_plain(entry, arena),
             Codec::Compressed => encode_entry_compressed(entry, prev_words, arena),
         }
-        prev_words = entry.words.ids();
+        prev_words = entry.words;
     }
 }
 
-fn encode_entry_plain(entry: &NodeEntry, arena: &mut Arena) {
+/// [`encode_node`] over decoded entries (maintenance rewrites, re-encoding
+/// reports).
+pub(crate) fn encode_entries(entries: &[NodeEntry], codec: Codec, arena: &mut Arena) {
+    let phrases: Vec<PhraseRef<'_>> = entries
+        .iter()
+        .flat_map(|e| &e.phrases)
+        .map(|p| PhraseRef {
+            raw: &p.raw,
+            ads: &p.ads,
+        })
+        .collect();
+    let mut rest = &phrases[..];
+    let mut views: Vec<EntryRef<'_>> = entries
+        .iter()
+        .map(|e| {
+            let (own, tail) = rest.split_at(e.phrases.len());
+            rest = tail;
+            EntryRef {
+                words: e.words.ids(),
+                phrases: own,
+            }
+        })
+        .collect();
+    encode_node(&mut views, codec, arena);
+}
+
+fn encode_entry_plain(entry: &EntryRef<'_>, arena: &mut Arena) {
     arena.push_u8(entry.words.len() as u8);
-    for &WordId(id) in entry.words.ids() {
+    for &WordId(id) in entry.words {
         arena.push_u32(id);
     }
     arena.push_u16(entry.phrases.len() as u16);
-    for p in &entry.phrases {
+    for p in entry.phrases {
         assert!(p.raw.len() <= u8::MAX as usize, "phrase too long");
         assert!(
             p.ads.len() <= u16::MAX as usize,
             "too many ads in phrase group"
         );
         arena.push_u8(p.raw.len() as u8);
-        for &WordId(id) in &p.raw {
+        for &WordId(id) in p.raw {
             arena.push_u32(id);
         }
         arena.push_u16(p.ads.len() as u16);
-        for &(AdId(ad), info) in &p.ads {
+        for &(AdId(ad), info) in p.ads {
             arena.push_u32(ad);
             arena.push_u64(info.listing_id);
             arena.push_u32(info.campaign_id);
@@ -118,11 +161,11 @@ fn encode_entry_plain(entry: &NodeEntry, arena: &mut Arena) {
     }
 }
 
-fn encode_entry_compressed(entry: &NodeEntry, prev_words: &[WordId], arena: &mut Arena) {
+fn encode_entry_compressed(entry: &EntryRef<'_>, prev_words: &[WordId], arena: &mut Arena) {
     arena.push_u8(entry.words.len() as u8);
     // Front-code against the previous entry's word list (§VI: "representing
     // them relative to phrases stored before them in the same data node").
-    let words = entry.words.ids();
+    let words = entry.words;
     let shared = words
         .iter()
         .zip(prev_words)
@@ -145,15 +188,22 @@ fn encode_entry_compressed(entry: &NodeEntry, prev_words: &[WordId], arena: &mut
         prev_id = id as u64;
     }
     arena.push_varint(entry.phrases.len() as u64);
-    for p in &entry.phrases {
+    for p in entry.phrases {
         assert!(p.raw.len() <= u8::MAX as usize, "phrase too long");
         arena.push_u8(p.raw.len() as u8);
-        for &WordId(id) in &p.raw {
+        for &WordId(id) in p.raw {
             arena.push_varint(id as u64);
         }
         // Ads sorted by id for delta coding; bid prices zigzag-delta coded.
-        let mut ads = p.ads.clone();
-        ads.sort_by_key(|&(id, _)| id);
+        let sorted;
+        let ads = if p.ads.is_sorted_by_key(|&(id, _)| id) {
+            p.ads
+        } else {
+            let mut ads = p.ads.to_vec();
+            ads.sort_by_key(|&(id, _)| id);
+            sorted = ads;
+            &sorted[..]
+        };
         arena.push_varint(ads.len() as u64);
         let mut prev_ad = 0u64;
         let mut prev_bid = 0i64;
@@ -420,9 +470,9 @@ mod tests {
     }
 
     fn round_trip(codec: Codec) {
-        let mut entries = sample_entries();
+        let entries = sample_entries();
         let mut arena = Arena::new();
-        encode_node(&mut entries, codec, &mut arena);
+        encode_entries(&entries, codec, &mut arena);
         let decoded = decode_node(arena.as_slice(), codec);
         assert_eq!(decoded, entries);
     }
@@ -439,11 +489,11 @@ mod tests {
 
     #[test]
     fn compressed_is_smaller() {
-        let mut entries = sample_entries();
+        let entries = sample_entries();
         let mut plain = Arena::new();
-        encode_node(&mut entries, Codec::Plain, &mut plain);
+        encode_entries(&entries, Codec::Plain, &mut plain);
         let mut compressed = Arena::new();
-        encode_node(&mut entries, Codec::Compressed, &mut compressed);
+        encode_entries(&entries, Codec::Compressed, &mut compressed);
         assert!(
             compressed.len() < plain.len(),
             "compressed {} >= plain {}",
@@ -457,7 +507,7 @@ mod tests {
         let mut entries = sample_entries();
         entries.reverse();
         let mut arena = Arena::new();
-        encode_node(&mut entries, Codec::Plain, &mut arena);
+        encode_entries(&entries, Codec::Plain, &mut arena);
         let decoded = decode_node(arena.as_slice(), Codec::Plain);
         assert!(decoded
             .windows(2)
@@ -466,9 +516,9 @@ mod tests {
 
     #[test]
     fn early_termination_stops_reading() {
-        let mut entries = sample_entries();
+        let entries = sample_entries();
         let mut arena = Arena::new();
-        encode_node(&mut entries, Codec::Plain, &mut arena);
+        encode_entries(&entries, Codec::Plain, &mut arena);
 
         // max_word_count = 2: the 3-word entry must not be decoded.
         let mut full = CountingTracker::new();
@@ -499,9 +549,9 @@ mod tests {
 
     #[test]
     fn filter_suppresses_ads_but_scan_continues() {
-        let mut entries = sample_entries();
+        let entries = sample_entries();
         let mut arena = Arena::new();
-        encode_node(&mut entries, Codec::Plain, &mut arena);
+        encode_entries(&entries, Codec::Plain, &mut arena);
         let mut scratch = ScanScratch::default();
         let mut tracker = NullTracker;
         let mut seen = Vec::new();
@@ -521,10 +571,21 @@ mod tests {
     #[test]
     fn plain_encoded_bytes_matches_actual() {
         for entry in sample_entries() {
-            let mut entries = vec![entry.clone()];
+            let phrases: Vec<PhraseRef> = entry
+                .phrases
+                .iter()
+                .map(|p| PhraseRef {
+                    raw: &p.raw,
+                    ads: &p.ads,
+                })
+                .collect();
+            let view = EntryRef {
+                words: entry.words.ids(),
+                phrases: &phrases,
+            };
             let mut arena = Arena::new();
-            encode_node(&mut entries, Codec::Plain, &mut arena);
-            assert_eq!(arena.len(), entry.plain_encoded_bytes());
+            encode_node(&mut [view], Codec::Plain, &mut arena);
+            assert_eq!(arena.len(), view.plain_encoded_bytes());
         }
     }
 
@@ -539,12 +600,12 @@ mod tests {
                 ads: vec![(AdId(0), AdInfo::default())],
             }],
         };
-        let mut related = vec![mk(&[1, 2, 3, 4, 5]), mk(&[1, 2, 3, 4, 5, 6])];
-        let mut unrelated = vec![mk(&[1, 2, 3, 4, 5]), mk(&[100, 200, 300, 400, 500, 600])];
+        let related = vec![mk(&[1, 2, 3, 4, 5]), mk(&[1, 2, 3, 4, 5, 6])];
+        let unrelated = vec![mk(&[1, 2, 3, 4, 5]), mk(&[100, 200, 300, 400, 500, 600])];
         let mut a = Arena::new();
-        encode_node(&mut related, Codec::Compressed, &mut a);
+        encode_entries(&related, Codec::Compressed, &mut a);
         let mut b = Arena::new();
-        encode_node(&mut unrelated, Codec::Compressed, &mut b);
+        encode_entries(&unrelated, Codec::Compressed, &mut b);
         assert!(a.len() < b.len());
         // And both decode correctly.
         assert_eq!(decode_node(a.as_slice(), Codec::Compressed), related);

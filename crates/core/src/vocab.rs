@@ -3,15 +3,16 @@
 use std::collections::HashMap;
 
 use crate::hash::FxBuildHasher;
-use crate::text::{fold_duplicates, tokenize};
+use crate::text::{for_each_run, for_each_token, push_key};
 use crate::{WordId, WordSet};
 
 /// Interns words (including folded multiplicity tokens) to dense
 /// [`WordId`]s and tracks per-word corpus frequencies.
 ///
-/// Corpus frequency — in how many *bid phrases* a word occurs — drives the
-/// "index only the rarest word" non-redundant inverted baseline and informs
-/// the re-mapping heuristics.
+/// Corpus frequency — in how many distinct bid *word sets* (groups) a word
+/// occurs, not how many bid phrases or ads — drives the "index only the
+/// rarest word" non-redundant inverted baseline and informs the re-mapping
+/// heuristics. [`crate::IndexBuilder`] bumps it once per new group.
 ///
 /// # Examples
 ///
@@ -33,7 +34,7 @@ pub struct Vocabulary {
     #[cfg_attr(feature = "serde", serde(skip))]
     map: HashMap<Box<str>, WordId, FxBuildHasher>,
     words: Vec<Box<str>>,
-    /// Number of indexed phrases each word occurs in.
+    /// Number of indexed word sets (groups) each word occurs in.
     phrase_freq: Vec<u64>,
 }
 
@@ -76,14 +77,14 @@ impl Vocabulary {
         self.words.get(id.0 as usize).map(|w| w.as_ref())
     }
 
-    /// Record that `id` occurs in one more indexed phrase.
+    /// Record that `id` occurs in one more indexed word set.
     pub fn bump_phrase_freq(&mut self, id: WordId) {
         if let Some(f) = self.phrase_freq.get_mut(id.0 as usize) {
             *f += 1;
         }
     }
 
-    /// In how many indexed phrases `id` occurs.
+    /// In how many indexed word sets `id` occurs.
     pub fn phrase_freq(&self, id: WordId) -> u64 {
         self.phrase_freq.get(id.0 as usize).copied().unwrap_or(0)
     }
@@ -92,32 +93,97 @@ impl Vocabulary {
     /// returning the canonical [`WordSet`] plus the ordered raw word-id
     /// sequence (interned *without* folding) needed for phrase/exact match.
     pub fn intern_phrase(&mut self, text: &str) -> (WordSet, Vec<WordId>) {
-        let tokens = tokenize(text);
-        let raw: Vec<WordId> = tokens.iter().map(|t| self.intern(t)).collect();
-        let folded = fold_duplicates(&tokens);
-        let ids: Vec<WordId> = folded.iter().map(|t| self.intern(&t.key())).collect();
-        (WordSet::from_unsorted(ids), raw)
+        let mut ids = PhraseIds::default();
+        self.intern_ids(text, &mut ids);
+        (WordSet::from_sorted(ids.words), ids.raw)
+    }
+
+    /// [`Vocabulary::intern_phrase`] into reusable buffers.
+    ///
+    /// New ids are assigned to the raw tokens in phrase order first, then to
+    /// the multiplicity tokens of repeated words in word order.
+    pub(crate) fn intern_ids(&mut self, text: &str, ids: &mut PhraseIds) {
+        ids.raw.clear();
+        for_each_token(text, &mut ids.lower, |t| ids.raw.push(self.intern(t)));
+        ids.sorted.clear();
+        ids.sorted.extend_from_slice(&ids.raw);
+        ids.sorted.sort_unstable();
+        ids.words.clear();
+        ids.repeated.clear();
+        for_each_run(&ids.sorted, |&id, count| match count {
+            1 => ids.words.push(id),
+            _ => ids.repeated.push((id, count)),
+        });
+        // Multiplicity tokens are interned in word order.
+        ids.repeated.sort_unstable_by(|&(a, _), &(b, _)| {
+            self.words[a.0 as usize].cmp(&self.words[b.0 as usize])
+        });
+        for &(id, count) in &ids.repeated {
+            ids.key.clear();
+            push_key(&mut ids.key, &self.words[id.0 as usize], count);
+            let key = self.intern(&ids.key);
+            ids.words.push(key);
+        }
+        ids.words.sort_unstable();
+        ids.words.dedup();
     }
 
     /// Like [`Vocabulary::intern_phrase`] but read-only: unknown words map
     /// to `None`. Used on the query path, where a word absent from the
     /// vocabulary can never contribute to a match.
     pub fn lookup_query(&self, text: &str) -> (WordSet, Vec<Option<WordId>>) {
-        let tokens = tokenize(text);
-        let raw: Vec<Option<WordId>> = tokens.iter().map(|t| self.get(t)).collect();
-        let folded = fold_duplicates(&tokens);
-        let ids: Vec<WordId> = folded.iter().filter_map(|t| self.get_folded(t)).collect();
-        (WordSet::from_unsorted(ids), raw)
+        let mut ids = QueryIds::default();
+        self.lookup_ids(text, &mut ids, false);
+        (WordSet::from_sorted(ids.words), ids.raw)
     }
 
-    /// Look up a folded token without allocating its key when the token has
-    /// multiplicity 1 (the overwhelmingly common case on the query path).
-    pub fn get_folded(&self, token: &crate::text::FoldedToken) -> Option<WordId> {
-        if token.count == 1 {
-            self.get(&token.word)
-        } else {
-            self.get(&token.key())
+    /// [`Vocabulary::lookup_query`] into reusable buffers. With
+    /// `lower_multiplicities`, a word occurring `m` times also contributes
+    /// its known multiplicity tokens below `m` (what phrase match probes).
+    pub(crate) fn lookup_ids(&self, text: &str, ids: &mut QueryIds, lower_multiplicities: bool) {
+        ids.raw.clear();
+        ids.sorted.clear();
+        ids.unknown.clear();
+        for_each_token(text, &mut ids.lower, |t| {
+            let id = self.get(t);
+            match id {
+                Some(id) => ids.sorted.push(id),
+                None => {
+                    ids.unknown.push_str(t);
+                    ids.unknown.push('\u{1F}');
+                }
+            }
+            ids.raw.push(id);
+        });
+        ids.len = 0;
+        if !ids.unknown.is_empty() {
+            let mut unknown: Vec<&str> = ids.unknown.split_terminator('\u{1F}').collect();
+            unknown.sort_unstable();
+            unknown.dedup();
+            ids.len = unknown.len();
         }
+        ids.complete = ids.len == 0;
+        ids.sorted.sort_unstable();
+        ids.words.clear();
+        for_each_run(&ids.sorted, |&id, count| {
+            ids.len += 1;
+            let lowest = if lower_multiplicities { 1 } else { count };
+            for c in lowest..=count {
+                if c == 1 {
+                    ids.words.push(id);
+                    continue;
+                }
+                ids.key.clear();
+                push_key(&mut ids.key, &self.words[id.0 as usize], c);
+                match self.get(&ids.key) {
+                    Some(key) => ids.words.push(key),
+                    None if c == count => ids.complete = false,
+                    None => {}
+                }
+            }
+        });
+        ids.words.sort_unstable();
+        ids.words.dedup();
     }
 
     /// Rebuild the interning map after deserialization (`map` is skipped by
@@ -132,9 +198,217 @@ impl Vocabulary {
     }
 }
 
+/// Reusable buffers for [`Vocabulary::intern_ids`]: one phrase's ids.
+#[derive(Debug, Default)]
+pub(crate) struct PhraseIds {
+    /// Raw word ids in phrase order.
+    pub raw: Vec<WordId>,
+    /// The folded word set: sorted and duplicate-free.
+    pub words: Vec<WordId>,
+    lower: String,
+    key: String,
+    sorted: Vec<WordId>,
+    /// Repeated words with their multiplicities.
+    repeated: Vec<(WordId, u32)>,
+}
+
+/// Reusable buffers for [`Vocabulary::lookup_ids`]: one query's ids.
+#[derive(Debug, Default)]
+pub(crate) struct QueryIds {
+    /// Raw token ids in query order; `None` for unknown words.
+    pub raw: Vec<Option<WordId>>,
+    /// The known folded tokens: sorted and duplicate-free.
+    pub words: Vec<WordId>,
+    /// Distinct folded tokens, known or not: the query's `|Q|`.
+    pub len: usize,
+    /// Whether every folded token is known (exact match needs all).
+    pub complete: bool,
+    lower: String,
+    key: String,
+    sorted: Vec<WordId>,
+    /// Unknown tokens, each followed by `\u{1F}`.
+    unknown: String,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::text::{fold_duplicates, tokenize, FoldedToken};
+
+    /// The string-level pipeline the borrowed-token path replaced: one
+    /// `String` per token, folded by sorting owned strings, interned raw
+    /// tokens first and folded keys second.
+    mod reference {
+        use super::*;
+
+        pub fn tokenize(text: &str) -> Vec<String> {
+            text.split(|c: char| !c.is_alphanumeric())
+                .filter(|t| !t.is_empty())
+                .map(|t| t.to_lowercase())
+                .collect()
+        }
+
+        pub fn fold_duplicates(tokens: &[String]) -> Vec<FoldedToken> {
+            let mut sorted: Vec<&String> = tokens.iter().collect();
+            sorted.sort_unstable();
+            let mut out: Vec<FoldedToken> = Vec::new();
+            for token in sorted {
+                match out.last_mut() {
+                    Some(last) if &last.word == token => last.count += 1,
+                    _ => out.push(FoldedToken {
+                        word: token.clone(),
+                        count: 1,
+                    }),
+                }
+            }
+            out
+        }
+
+        pub fn intern_phrase(v: &mut Vocabulary, text: &str) -> (WordSet, Vec<WordId>) {
+            let tokens = tokenize(text);
+            let raw = tokens.iter().map(|t| v.intern(t)).collect();
+            let folded = fold_duplicates(&tokens);
+            let ids = folded.iter().map(|t| v.intern(&t.key())).collect();
+            (WordSet::from_unsorted(ids), raw)
+        }
+
+        /// What the query planner resolved: raw ids, `|Q|`, the known
+        /// folded set, whether it was complete, and phrase match's set with
+        /// lower multiplicities.
+        pub fn lookup(
+            v: &Vocabulary,
+            text: &str,
+        ) -> (Vec<Option<WordId>>, usize, WordSet, bool, WordSet) {
+            let tokens = tokenize(text);
+            let raw = tokens.iter().map(|t| v.get(t)).collect();
+            let folded = fold_duplicates(&tokens);
+            let known: Vec<Option<WordId>> = folded.iter().map(|t| v.get(&t.key())).collect();
+            let complete = known.iter().all(Option::is_some);
+            let phrase = folded
+                .iter()
+                .flat_map(|t| {
+                    (1..=t.count).map(|count| {
+                        FoldedToken {
+                            word: t.word.clone(),
+                            count,
+                        }
+                        .key()
+                    })
+                })
+                .filter_map(|key| v.get(&key))
+                .collect();
+            (
+                raw,
+                folded.len(),
+                WordSet::from_unsorted(known.into_iter().flatten().collect()),
+                complete,
+                WordSet::from_unsorted(phrase),
+            )
+        }
+    }
+
+    /// Seeded phrases over upper case, digits, punctuation runs, repeated
+    /// words and per-token Unicode case mappings.
+    fn seeded_texts() -> Vec<String> {
+        const PIECES: [&str; 22] = [
+            "talk",
+            "Talk",
+            "TALK",
+            "show",
+            "mp3",
+            "MP3",
+            "2024",
+            "x",
+            "İstanbul",
+            "istanbul",
+            "STRASSE",
+            "Straße",
+            "strasse",
+            "ΟΔΟΣ",
+            "οδος",
+            "Σ",
+            "ΣΑΣ",
+            "Éclair",
+            "éclair",
+            "a",
+            "talk talk talk",
+            "talk talk",
+        ];
+        const SEPARATORS: [&str; 8] = [" ", "  ", "-", "!!", ", ", "—", "\t", ""];
+        let mut state = 0x00DD_BA11_u64;
+        let mut next = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
+        };
+        // Fresh repeated words whose ids and spellings sort differently:
+        // their multiplicity tokens are interned in word order.
+        let mut texts: Vec<String> = [
+            "zeta zeta alpha alpha",
+            "ΟΔΟΣ ΟΔΟΣ mp3 MP3 b b b",
+            "",
+            "!!! --",
+        ]
+        .map(String::from)
+        .into();
+        for _ in 0..2000 {
+            let mut text = String::new();
+            for _ in 0..next(9) {
+                text.push_str(PIECES[next(PIECES.len())]);
+                text.push_str(SEPARATORS[next(SEPARATORS.len())]);
+            }
+            texts.push(text);
+        }
+        texts
+    }
+
+    #[test]
+    fn wrappers_match_the_string_pipeline() {
+        for text in seeded_texts() {
+            let tokens = tokenize(&text);
+            assert_eq!(tokens, reference::tokenize(&text), "{text:?}");
+            assert_eq!(
+                fold_duplicates(&tokens),
+                reference::fold_duplicates(&tokens)
+            );
+        }
+    }
+
+    #[test]
+    fn interning_matches_the_string_pipeline() {
+        let mut v = Vocabulary::new();
+        let mut r = Vocabulary::new();
+        for text in seeded_texts() {
+            assert_eq!(
+                v.intern_phrase(&text),
+                reference::intern_phrase(&mut r, &text),
+                "{text:?}"
+            );
+        }
+        // Same words, assigned the same ids in the same order.
+        assert_eq!(v.words, r.words);
+    }
+
+    #[test]
+    fn lookup_matches_the_string_pipeline() {
+        let texts = seeded_texts();
+        let mut v = Vocabulary::new();
+        for text in texts.iter().step_by(3) {
+            v.intern_phrase(text);
+        }
+        let mut ids = QueryIds::default();
+        for text in &texts {
+            let (raw, len, known, complete, phrase) = reference::lookup(&v, text);
+            v.lookup_ids(text, &mut ids, false);
+            assert_eq!(ids.raw, raw, "{text:?}");
+            assert_eq!(ids.len, len, "{text:?}");
+            assert_eq!(ids.words, known.ids(), "{text:?}");
+            assert_eq!(ids.complete, complete, "{text:?}");
+            v.lookup_ids(text, &mut ids, true);
+            assert_eq!(ids.words, phrase.ids(), "{text:?}");
+        }
+    }
 
     #[test]
     fn intern_is_idempotent() {

@@ -177,8 +177,8 @@ impl<'a> SubsetIter<'a> {
         let max_size = max_subset_len.min(ids.len());
         SubsetIter {
             ids,
-            indices: Vec::new(),
-            buffer: Vec::new(),
+            indices: Vec::with_capacity(max_size),
+            buffer: Vec::with_capacity(max_size),
             size: 1,
             max_size,
             done: ids.is_empty() || max_subset_len == 0,
@@ -192,14 +192,15 @@ impl<'a> SubsetIter<'a> {
         }
         if self.indices.is_empty() {
             // First combination of the current size.
-            self.indices = (0..self.size).collect();
+            self.indices.extend(0..self.size);
         } else if !advance_combination(&mut self.indices, self.ids.len()) {
             self.size += 1;
             if self.size > self.max_size {
                 self.done = true;
                 return None;
             }
-            self.indices = (0..self.size).collect();
+            self.indices.clear();
+            self.indices.extend(0..self.size);
         }
         self.buffer.clear();
         self.buffer

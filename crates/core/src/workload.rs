@@ -1,6 +1,7 @@
 //! Query workloads (Section V): the co-access information the re-mapping
 //! optimizer consumes.
 
+use crate::vocab::QueryIds;
 use crate::{Vocabulary, WordSet};
 
 /// One distinct query with its observed frequency — the paper's
@@ -41,18 +42,15 @@ impl QueryWorkload {
         texts: impl IntoIterator<Item = (&'a str, u64)>,
     ) -> Self {
         let mut queries = Vec::new();
+        let mut ids = QueryIds::default();
         for (text, freq) in texts {
             if freq == 0 {
                 continue;
             }
-            let tokens = crate::tokenize(text);
-            let folded = crate::fold_duplicates(&tokens);
-            let total_len = folded.len();
-            let known: Vec<crate::WordId> =
-                folded.iter().filter_map(|t| vocab.get(&t.key())).collect();
+            vocab.lookup_ids(text, &mut ids, false);
             queries.push(WeightedQuery {
-                set: WordSet::from_unsorted(known),
-                total_len,
+                set: WordSet::from_sorted(ids.words.clone()),
+                total_len: ids.len,
                 freq,
             });
         }

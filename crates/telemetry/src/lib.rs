@@ -86,7 +86,10 @@ mod tests {
                 let mut last_total = 0u64;
                 let mut last_per_label = std::collections::BTreeMap::new();
                 let mut iterations = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                // Snapshot before reading `stop`, so the reader runs at least
+                // once even when every writer finishes before it starts.
+                loop {
+                    let stopping = stop.load(Ordering::Relaxed);
                     let snap = registry.snapshot();
                     let total = snap.counter_total("stress_ops_total");
                     assert!(
@@ -111,6 +114,9 @@ mod tests {
                         assert_eq!(sum, total);
                     }
                     iterations += 1;
+                    if stopping {
+                        break;
+                    }
                 }
                 iterations
             })
