@@ -155,9 +155,8 @@ pub fn run(scale: Scale, seed: u64, tiny: bool) -> CostFitReport {
         let Some(plan) = index.plan_query(query, MatchType::Broad) else {
             continue;
         };
-        let n_probes = plan.probe_hashes().len();
-        let batch = index.execute_probes_tracked(&plan, 0..n_probes, &mut tracker);
-        let (hits, qstats) = index.finish_query(&plan, [batch]);
+        let batch = index.execute_probes_tracked(&plan, &mut tracker);
+        let (hits, qstats) = index.finish_query(&plan, batch);
         std::hint::black_box(hits.len());
         let wall = t0.elapsed();
 

@@ -101,10 +101,8 @@ fn start_backend(ads: &[GeneratedAd]) -> Backend {
     let runtime = ServeRuntime::start(
         index,
         ServeConfig {
-            n_shards: BACKEND_WORKERS,
             n_workers: BACKEND_WORKERS,
             queue_capacity: 512,
-            batch_size: 8,
             trace_sample_every: 0,
         },
     );

@@ -1,14 +1,14 @@
-//! serve-throughput — shard × worker sweep of the `broadmatch-serve`
-//! runtime, plus the calibration path that feeds measured service times
-//! back into the paper's two-server deployment model (§VII-B).
+//! serve-throughput — worker sweep of the `broadmatch-serve` runtime,
+//! plus the calibration path that feeds measured service times back into
+//! the paper's two-server deployment model (§VII-B).
 //!
 //! Closed-loop clients replay a workload trace through [`ServeRuntime`];
-//! each grid cell reports aggregate throughput, end-to-end latency and
-//! admission rejects. The best cell's measured latency distribution then
-//! seeds `broadmatch_netsim::ServiceDist` — both from raw reservoir
-//! samples and from the runtime's 5 ms histogram buckets — and the
-//! simulator predicts deployment capacity from real measurements instead
-//! of analytic guesses.
+//! each pool size reports aggregate throughput, end-to-end latency, queue
+//! wait against service time, and admission rejects. The reference pool's
+//! measured latency distribution then seeds
+//! `broadmatch_netsim::ServiceDist` — both from raw reservoir samples and
+//! from the runtime's 5 ms histogram buckets — and the simulator predicts
+//! deployment capacity from real measurements instead of analytic guesses.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
@@ -26,16 +26,20 @@ use crate::Scale;
 /// Concurrent closed-loop clients driving each configuration.
 const N_CLIENTS: usize = 8;
 
-/// One grid cell of the sweep.
+/// Pool sizes swept.
+const WORKERS: &[usize] = &[1, 2, 4, 8];
+
+/// The pool size whose measured latencies calibrate netsim.
+const REFERENCE_WORKERS: usize = 4;
+
+/// One cell of the sweep.
 #[derive(Debug, Clone)]
 pub struct ServeCell {
-    /// Probe-space shards.
-    pub n_shards: usize,
     /// Pool worker threads.
     pub n_workers: usize,
     /// Aggregate queries per second over the trace replay.
     pub qps: f64,
-    /// Mean end-to-end latency (plan → gather), milliseconds.
+    /// Mean end-to-end latency (submission to answer), milliseconds.
     pub mean_ms: f64,
     /// 95th-percentile end-to-end latency, milliseconds.
     pub p95_ms: f64,
@@ -43,8 +47,10 @@ pub struct ServeCell {
     pub rejected: u64,
     /// Rejected / (accepted + rejected) over the replay.
     pub reject_ratio: f64,
-    /// Per-shard reject attribution (which full queue refused the query).
-    pub shard_rejects: Vec<u64>,
+    /// Mean time a query waited in the queue, milliseconds.
+    pub queue_wait_ms: f64,
+    /// Mean time a worker spent answering a query, milliseconds.
+    pub service_ms: f64,
 }
 
 /// Sweep results plus the netsim calibration outcome.
@@ -103,17 +109,14 @@ fn build_scenario(scale: Scale, seed: u64) -> (Arc<BroadMatchIndex>, Vec<String>
 fn run_cell(
     index: &Arc<BroadMatchIndex>,
     trace: &[String],
-    n_shards: usize,
     n_workers: usize,
     trace_sample_every: u64,
 ) -> (ServeCell, ServeMetrics) {
     let runtime = ServeRuntime::start(
         Arc::clone(index),
         ServeConfig {
-            n_shards,
             n_workers,
             queue_capacity: 512,
-            batch_size: 8,
             trace_sample_every,
         },
     );
@@ -147,7 +150,6 @@ fn run_cell(
     let metrics = runtime.metrics();
     let attempts = metrics.accepted + metrics.rejected;
     let cell = ServeCell {
-        n_shards,
         n_workers,
         qps: trace.len() as f64 / wall,
         mean_ms: metrics.query_latency.mean_ms(),
@@ -155,7 +157,8 @@ fn run_cell(
         // ORDER: Relaxed — final single-threaded readback after the scope joins.
         rejected: rejected.load(Relaxed),
         reject_ratio: metrics.rejected as f64 / attempts.max(1) as f64,
-        shard_rejects: metrics.shard_rejects.clone(),
+        queue_wait_ms: metrics.queue_wait.mean_ms(),
+        service_ms: metrics.service.mean_ms(),
     };
     (cell, metrics)
 }
@@ -180,34 +183,31 @@ pub fn run(scale: Scale, seed: u64) -> ServeThroughputReport {
     let direct_qps = trace.len() as f64 / start.elapsed().as_secs_f64();
     println!("direct single-threaded baseline: {} qps\n", fi(direct_qps));
 
-    // The grid: worker scaling at fixed shards, then shard scaling at
-    // fixed workers.
-    let grid: &[(usize, usize)] = &[(1, 1), (2, 2), (4, 1), (4, 2), (4, 4), (2, 4), (8, 4)];
-    let mut cells = Vec::with_capacity(grid.len());
+    let mut cells = Vec::with_capacity(WORKERS.len());
     let mut reference: Option<ServeMetrics> = None;
     let mut t = Table::new(&[
-        "shards",
         "workers",
         "qps",
         "mean ms",
         "p95 ms",
+        "queue ms",
+        "service ms",
         "rejected",
         "rej ratio",
-        "rej by shard",
     ]);
-    for &(n_shards, n_workers) in grid {
-        let (cell, metrics) = run_cell(&index, &trace, n_shards, n_workers, 64);
+    for &n_workers in WORKERS {
+        let (cell, metrics) = run_cell(&index, &trace, n_workers, 64);
         t.row_owned(vec![
-            cell.n_shards.to_string(),
             cell.n_workers.to_string(),
             fi(cell.qps),
             format!("{:.3}", cell.mean_ms),
             format!("{:.3}", cell.p95_ms),
+            format!("{:.3}", cell.queue_wait_ms),
+            format!("{:.3}", cell.service_ms),
             cell.rejected.to_string(),
             format!("{:.4}", cell.reject_ratio),
-            format!("{:?}", cell.shard_rejects),
         ]);
-        if (n_shards, n_workers) == (4, 4) {
+        if n_workers == REFERENCE_WORKERS {
             reference = Some(metrics);
         }
         cells.push(cell);
@@ -222,13 +222,13 @@ pub fn run(scale: Scale, seed: u64) -> ServeThroughputReport {
     // themselves cannot be turned off — they ARE the product — so this
     // bounds the cost of the optional tracer layer. The default-sampling
     // delta is the one the <5% budget applies to.
-    let (cell_off, _) = run_cell(&index, &trace, 4, 4, 0);
-    let (cell_dflt, _) = run_cell(&index, &trace, 4, 4, 64);
-    let (cell_all, _) = run_cell(&index, &trace, 4, 4, 1);
+    let (cell_off, _) = run_cell(&index, &trace, REFERENCE_WORKERS, 0);
+    let (cell_dflt, _) = run_cell(&index, &trace, REFERENCE_WORKERS, 64);
+    let (cell_all, _) = run_cell(&index, &trace, REFERENCE_WORKERS, 1);
     let overhead_pct = (cell_off.qps - cell_dflt.qps) / cell_off.qps * 100.0;
     let overhead_all_pct = (cell_off.qps - cell_all.qps) / cell_off.qps * 100.0;
     println!(
-        "telemetry overhead at 4x4: {} qps untraced vs {} qps at default 1-in-64 \
+        "telemetry overhead at {REFERENCE_WORKERS} workers: {} qps untraced vs {} qps at default 1-in-64 \
          sampling ({overhead_pct:+.1}% delta; target < 5%) vs {} qps tracing every \
          query ({overhead_all_pct:+.1}%, worst case)\n",
         fi(cell_off.qps),
@@ -240,7 +240,7 @@ pub fn run(scale: Scale, seed: u64) -> ServeThroughputReport {
     // Primary path: the latency reservoir at full resolution; the 5 ms
     // bucket path is printed alongside (it is what a production dashboard
     // would actually export).
-    let reference = reference.expect("grid contains the reference cell");
+    let reference = reference.expect("sweep contains the reference pool size");
     let sampled = ServiceDist::from_samples(
         reference
             .query_latency
@@ -288,9 +288,9 @@ mod tests {
     fn sweep_covers_grid_and_calibrates() {
         let r = run(Scale::Small, 77);
         assert!(r.direct_qps > 0.0);
-        assert_eq!(r.cells.len(), 7);
+        assert_eq!(r.cells.len(), WORKERS.len());
         assert!(r.cells.iter().all(|c| c.qps > 0.0));
-        assert!(r.cells.iter().all(|c| c.shard_rejects.len() == c.n_shards));
+        assert!(r.cells.iter().all(|c| c.service_ms > 0.0));
         assert!(r
             .cells
             .iter()
@@ -305,18 +305,18 @@ mod tests {
         // sweep still runs but parallel speedup cannot materialize.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         if cores >= 4 {
-            let qps_of = |s: usize, w: usize| {
+            let qps_of = |w: usize| {
                 r.cells
                     .iter()
-                    .find(|c| c.n_shards == s && c.n_workers == w)
-                    .expect("cell in grid")
+                    .find(|c| c.n_workers == w)
+                    .expect("cell in sweep")
                     .qps
             };
             assert!(
-                qps_of(4, 4) >= 1.5 * qps_of(4, 1),
+                qps_of(4) >= 1.5 * qps_of(1),
                 "4-worker qps {} vs 1-worker {}",
-                qps_of(4, 4),
-                qps_of(4, 1)
+                qps_of(4),
+                qps_of(1)
             );
         }
     }

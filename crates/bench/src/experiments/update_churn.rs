@@ -278,10 +278,8 @@ pub fn run(scale: Scale, seed: u64) -> UpdateChurnReport {
         trace.len()
     );
     let serve_config = ServeConfig {
-        n_shards: 4,
         n_workers: 4,
         queue_capacity: 512,
-        batch_size: 8,
         trace_sample_every: 64,
     };
 

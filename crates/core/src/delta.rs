@@ -154,10 +154,8 @@ impl DeltaOverlay {
     }
 
     /// Drop matching ads from the overlay's own inserts only (no base
-    /// resolution). Returns the number dropped. Serving runtimes that route
-    /// the base resolution per shard combine this with
-    /// [`DeltaOverlay::tombstone_ads`].
-    pub fn remove_local(&mut self, phrase: &str, listing_id: u64) -> usize {
+    /// resolution). Returns the number dropped.
+    fn remove_local(&mut self, phrase: &str, listing_id: u64) -> usize {
         let raw = tokenize(phrase);
         if raw.is_empty() {
             return 0;
@@ -179,9 +177,8 @@ impl DeltaOverlay {
     }
 
     /// Add base ad ids to the tombstone set. Returns how many were newly
-    /// tombstoned (duplicates — e.g. the same node reached from two shards
-    /// — are deduplicated here).
-    pub fn tombstone_ads(&mut self, ads: impl IntoIterator<Item = AdId>) -> usize {
+    /// tombstoned (ids already tombstoned are not counted again).
+    fn tombstone_ads(&mut self, ads: impl IntoIterator<Item = AdId>) -> usize {
         let before = self.tombstones.len();
         self.tombstones.extend(ads);
         self.tombstones.len() - before
@@ -342,7 +339,7 @@ pub fn resolve_exact(base: &BroadMatchIndex, phrase: &str, listing_id: u64) -> V
     let Some(plan) = base.plan_query(phrase, MatchType::Exact) else {
         return Vec::new();
     };
-    let batch = base.execute_probes(&plan, 0..plan.probe_count());
+    let batch = base.execute_probes(&plan);
     let mut out: Vec<AdId> = batch
         .nodes
         .iter()

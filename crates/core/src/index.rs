@@ -39,12 +39,9 @@ pub struct MatchHit {
 /// construction and the bounded subset enumeration (Section IV-B), already
 /// hashed and capped by `probe_cap`.
 ///
-/// A plan is the unit of work distribution in sharded serving: the probe
-/// hashes partition across shards by residue (`hash % n_shards`), each shard
-/// executes its slice with [`BroadMatchIndex::execute_probes`], and
-/// [`BroadMatchIndex::finish_query`] gathers the batches into exactly the
-/// hits (and [`QueryStats`]) the single-threaded
-/// [`BroadMatchIndex::query_with_stats`] would have produced.
+/// [`BroadMatchIndex::execute_probes`] runs its probes and
+/// [`BroadMatchIndex::finish_query`] turns the scanned nodes into exactly the
+/// hits (and [`QueryStats`]) [`BroadMatchIndex::query_with_stats`] returns.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
     match_type: MatchType,
@@ -62,12 +59,6 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// The probe hashes, in subset-enumeration order. Index positions are
-    /// the probe indices [`BroadMatchIndex::execute_probes`] expects.
-    pub fn probe_hashes(&self) -> &[u64] {
-        &self.probes
-    }
-
     /// Number of probes the plan will issue.
     pub fn probe_count(&self) -> usize {
         self.probes.len()
@@ -84,34 +75,26 @@ impl QueryPlan {
     }
 }
 
-/// One data node scanned while executing a slice of a [`QueryPlan`].
+/// One data node scanned while executing a [`QueryPlan`].
 #[derive(Debug, Clone)]
 pub struct ScannedNode {
-    /// Arena extent of the node — the global deduplication key (distinct
-    /// probes, even on different shards, can reach the same node through
-    /// hash collisions or shared locators).
+    /// Arena extent of the node (distinct probes can reach the same node
+    /// through hash collisions or shared locators; it is scanned once).
     pub extent: (u32, u32),
-    /// Enumeration index of the probe that first reached this node; gather
-    /// sorts by it so sharded execution reproduces single-threaded hit
-    /// order exactly.
-    pub first_probe: usize,
     /// Hits this node produced under the plan's match semantics (exclusion
     /// filtering is deferred to [`BroadMatchIndex::finish_query`]).
     pub hits: Vec<MatchHit>,
     /// What the scan physically did (entries/ads decoded, bytes consumed,
-    /// early termination) — deterministic per extent, so cross-batch
-    /// deduplication can aggregate from either copy.
+    /// early termination).
     pub(crate) summary: ScanSummary,
     /// Whether this node is a shared (set-cover re-mapped) node.
     pub(crate) remapped: bool,
 }
 
-/// Result of executing a slice of a plan's probes
-/// ([`BroadMatchIndex::execute_probes`]).
+/// Result of executing a plan's probes ([`BroadMatchIndex::execute_probes`]).
 #[derive(Debug, Clone, Default)]
 pub struct ProbeBatch {
-    /// Distinct nodes this batch scanned (deduplicated batch-locally;
-    /// cross-batch dedup happens at gather).
+    /// Distinct nodes scanned, in the order their first probe reached them.
     pub nodes: Vec<ScannedNode>,
     /// Probes issued.
     pub probes: usize,
@@ -381,17 +364,10 @@ impl BroadMatchIndex {
         })
     }
 
-    /// Execute the probes at `probe_indices` — positions into
-    /// [`QueryPlan::probe_hashes`] — against this index. A shard owning
-    /// residue `r` of `n` executes
-    /// `plan.probe_hashes().iter().enumerate().filter(|(_, h)| *h % n == r)`;
-    /// the full single-threaded execution is `0..plan.probe_count()`.
-    pub fn execute_probes(
-        &self,
-        plan: &QueryPlan,
-        probe_indices: impl IntoIterator<Item = usize>,
-    ) -> ProbeBatch {
-        self.execute_probes_tracked(plan, probe_indices, &mut NullTracker)
+    /// Execute every probe of `plan` against this index, scanning each
+    /// distinct node it reaches once.
+    pub fn execute_probes(&self, plan: &QueryPlan) -> ProbeBatch {
+        self.execute_probes_tracked(plan, &mut NullTracker)
     }
 
     /// [`BroadMatchIndex::execute_probes`], reporting every memory access
@@ -399,13 +375,11 @@ impl BroadMatchIndex {
     pub fn execute_probes_tracked<T: AccessTracker>(
         &self,
         plan: &QueryPlan,
-        probe_indices: impl IntoIterator<Item = usize>,
         tracker: &mut T,
     ) -> ProbeBatch {
         let mut batch = ProbeBatch::default();
         let mut scratch = ScanScratch::default();
-        for idx in probe_indices {
-            let hash = plan.probes[idx];
+        for &hash in &plan.probes {
             batch.probes += 1;
             let found = self.directory.lookup(hash, tracker);
             tracker.branch(crate::node::SITE_PROBE, found.is_some());
@@ -466,7 +440,6 @@ impl BroadMatchIndex {
             };
             batch.nodes.push(ScannedNode {
                 extent: (start, end),
-                first_probe: idx,
                 hits,
                 summary,
                 remapped: self.remapped_extents.contains(&(start, end)),
@@ -475,38 +448,18 @@ impl BroadMatchIndex {
         batch
     }
 
-    /// Gather probe batches into the final hit list and statistics:
-    /// cross-batch node deduplication, deterministic hit order (nodes sorted
-    /// by the enumeration index of the probe that first reached them, so
-    /// sharded execution is bit-identical to single-threaded), and exclusion
-    /// filtering (Section I: drop hits whose campaign excluded any word
-    /// present in the query).
-    pub fn finish_query(
-        &self,
-        plan: &QueryPlan,
-        batches: impl IntoIterator<Item = ProbeBatch>,
-    ) -> (Vec<MatchHit>, QueryStats) {
+    /// Turn an executed plan into the final hit list and statistics: hits
+    /// in node order, then exclusion filtering (Section I: drop hits whose
+    /// campaign excluded any word present in the query).
+    pub fn finish_query(&self, plan: &QueryPlan, batch: ProbeBatch) -> (Vec<MatchHit>, QueryStats) {
         let mut stats = QueryStats {
             truncated: plan.truncated,
+            probes: batch.probes,
+            probe_hits: batch.probe_hits,
+            nodes_visited: batch.nodes.len(),
             ..QueryStats::default()
         };
-        let mut nodes: Vec<ScannedNode> = Vec::new();
-        for batch in batches {
-            stats.probes += batch.probes;
-            stats.probe_hits += batch.probe_hits;
-            for node in batch.nodes {
-                match nodes.iter_mut().find(|n| n.extent == node.extent) {
-                    Some(seen) => seen.first_probe = seen.first_probe.min(node.first_probe),
-                    None => nodes.push(node),
-                }
-            }
-        }
-        nodes.sort_by_key(|n| n.first_probe);
-        stats.nodes_visited = nodes.len();
-        // Scan detail accumulates from the deduplicated node set, so sharded
-        // gathers report exactly what a single-threaded run would (a node
-        // reached from two shards is still one scan's worth of work).
-        for node in &nodes {
+        for node in &batch.nodes {
             stats.entries_examined += node.summary.entries as usize;
             stats.ads_examined += node.summary.ads as usize;
             stats.scanned_bytes += node.summary.bytes as usize;
@@ -519,7 +472,7 @@ impl BroadMatchIndex {
             }
         }
 
-        let mut hits: Vec<MatchHit> = nodes.into_iter().flat_map(|n| n.hits).collect();
+        let mut hits: Vec<MatchHit> = batch.nodes.into_iter().flat_map(|n| n.hits).collect();
         if !self.exclusions.is_empty() {
             hits.retain(|h| match self.exclusions.get(&h.ad) {
                 Some(excluded) => !excluded.ids().iter().any(|&w| plan.probe_set.contains(w)),
@@ -540,8 +493,8 @@ impl BroadMatchIndex {
         let Some(plan) = self.plan_query(query_text, match_type) else {
             return Vec::new();
         };
-        let batch = self.execute_probes_tracked(&plan, 0..plan.probe_count(), tracker);
-        let (hits, full_stats) = self.finish_query(&plan, [batch]);
+        let batch = self.execute_probes_tracked(&plan, tracker);
+        let (hits, full_stats) = self.finish_query(&plan, batch);
         if let Some(s) = stats {
             *s = full_stats;
         }
@@ -943,45 +896,6 @@ mod tests {
         let (_, stats) = index.query_with_stats("a b c", MatchType::Broad);
         assert!(stats.truncated);
         assert_eq!(stats.probes, 3);
-    }
-
-    #[test]
-    fn sharded_plan_execution_matches_single_threaded() {
-        let index = sample_index(RemapMode::Full, DirectoryKind::Succinct, true);
-        for (q, mt) in [
-            ("cheap used books online", MatchType::Broad),
-            ("comic books cheap", MatchType::Broad),
-            ("buy used books today", MatchType::Phrase),
-            ("talk talk talk", MatchType::Phrase),
-            ("used books", MatchType::Exact),
-            (
-                "rare first edition signed hardcover books for sale",
-                MatchType::Broad,
-            ),
-        ] {
-            let (want_hits, want_stats) = index.query_with_stats(q, mt);
-            let plan = index.plan_query(q, mt).expect("known words");
-            for n_shards in [1usize, 2, 3, 5] {
-                // Each shard owns the probes whose hash lands on its residue;
-                // gather must reproduce hits AND stats bit-for-bit.
-                let batches: Vec<ProbeBatch> = (0..n_shards as u64)
-                    .map(|shard| {
-                        index.execute_probes(
-                            &plan,
-                            plan.probe_hashes()
-                                .iter()
-                                .enumerate()
-                                .filter(|&(_, h)| h % n_shards as u64 == shard)
-                                .map(|(i, _)| i)
-                                .collect::<Vec<_>>(),
-                        )
-                    })
-                    .collect();
-                let (hits, stats) = index.finish_query(&plan, batches);
-                assert_eq!(hits, want_hits, "{q} ({mt:?}) across {n_shards} shards");
-                assert_eq!(stats, want_stats, "{q} ({mt:?}) across {n_shards} shards");
-            }
-        }
     }
 
     #[test]

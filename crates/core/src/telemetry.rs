@@ -1,11 +1,10 @@
 //! Registry-backed observability for the query and maintenance paths.
 //!
-//! [`QueryStats`] stays the cheap, `Copy`, bit-identical-across-shards
-//! per-query record; this module is the single place that folds those
-//! records into the shared `broadmatch-telemetry` registry, so core, the
-//! serving runtime and the experiment drivers all export one
-//! `broadmatch_*` metric family set instead of parallel hand-rolled stats
-//! structs.
+//! [`QueryStats`] stays the cheap, `Copy` per-query record; this module
+//! is the single place that folds those records into the shared
+//! `broadmatch-telemetry` registry, so core, the serving runtime and the
+//! experiment drivers all export one `broadmatch_*` metric family set
+//! instead of parallel hand-rolled stats structs.
 
 use std::sync::Arc;
 

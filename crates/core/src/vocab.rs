@@ -29,9 +29,7 @@ use crate::{WordId, WordSet};
 /// assert_eq!(vocab.len(), 2);
 /// ```
 #[derive(Debug, Default, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vocabulary {
-    #[cfg_attr(feature = "serde", serde(skip))]
     map: HashMap<Box<str>, WordId, FxBuildHasher>,
     words: Vec<Box<str>>,
     /// Number of indexed word sets (groups) each word occurs in.
@@ -186,8 +184,7 @@ impl Vocabulary {
         ids.words.dedup();
     }
 
-    /// Rebuild the interning map after deserialization (`map` is skipped by
-    /// serde because `Box<str>` keys would be stored twice).
+    /// Rebuild the interning map from the word list.
     pub fn rebuild_map(&mut self) {
         self.map = self
             .words

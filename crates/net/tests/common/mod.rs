@@ -20,7 +20,7 @@ pub fn partitioned_corpus(n: usize, seed: u64) -> Vec<Vec<GeneratedAd>> {
     parts
 }
 
-/// A compact serve runtime over `ads` (2 shards, 2 workers).
+/// A compact serve runtime over `ads` (2 workers).
 pub fn runtime_over(ads: &[GeneratedAd]) -> Arc<ServeRuntime> {
     let mut builder = IndexBuilder::new();
     for ad in ads {
@@ -30,10 +30,8 @@ pub fn runtime_over(ads: &[GeneratedAd]) -> Arc<ServeRuntime> {
     }
     let index = Arc::new(builder.build().expect("non-empty partition"));
     let config = ServeConfig {
-        n_shards: 2,
         n_workers: 2,
         queue_capacity: 256,
-        batch_size: 4,
         trace_sample_every: 0,
     };
     Arc::new(ServeRuntime::start(index, config))

@@ -1,14 +1,13 @@
 //! Bounded MPMC queue on `std::sync::Mutex` + `Condvar`.
 //!
-//! One queue per shard carries probe-execution tasks to the worker pool.
-//! Producers never block: a full queue is an admission-control signal
-//! ([`PushError::Full`]) that the runtime converts into a reject with a
-//! retry-after hint. Consumers pop in batches to amortize lock traffic and
-//! wakeups.
+//! One queue carries whole queries to the worker pool. Producers never
+//! block: a full queue is an admission-control signal ([`PushError::Full`])
+//! that the runtime converts into a reject with a retry-after hint.
+//! Consumers pop one item at a time, so a free worker never waits behind
+//! work another worker has claimed.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 use crate::poison;
 
@@ -19,17 +18,6 @@ pub enum PushError<T> {
     Full(T),
     /// The queue was closed (runtime shutting down).
     Closed(T),
-}
-
-/// Outcome of a batched pop.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PopResult<T> {
-    /// One or more items (never empty).
-    Items(Vec<T>),
-    /// The wait timed out with the queue still open and empty.
-    TimedOut,
-    /// The queue is closed and fully drained; the consumer should exit.
-    Closed,
 }
 
 struct State<T> {
@@ -73,33 +61,19 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Dequeue up to `max` items, waiting at most `timeout` (forever when
-    /// `None`) for the first one.
-    pub fn pop_batch(&self, max: usize, timeout: Option<Duration>) -> PopResult<T> {
-        let max = max.max(1);
+    /// Dequeue the oldest item, waiting for one; `None` once the queue is
+    /// closed and drained (the consumer should exit).
+    pub fn pop(&self) -> Option<T> {
         let mut state = poison::lock(&self.state);
-        while state.items.is_empty() {
+        loop {
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
+            }
             if state.closed {
-                return PopResult::Closed;
+                return None;
             }
-            match timeout {
-                None => state = poison::wait(&self.not_empty, state),
-                Some(t) => {
-                    let (s, res) = poison::wait_timeout(&self.not_empty, state, t);
-                    state = s;
-                    if res.timed_out() && state.items.is_empty() {
-                        return if state.closed {
-                            PopResult::Closed
-                        } else {
-                            PopResult::TimedOut
-                        };
-                    }
-                }
-            }
+            state = poison::wait(&self.not_empty, state);
         }
-        let n = state.items.len().min(max);
-        let batch = state.items.drain(..n).collect();
-        PopResult::Items(batch)
     }
 
     /// Items currently queued (a racy snapshot, for backpressure hints).
@@ -113,7 +87,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Close the queue: future pushes fail, consumers drain what remains
-    /// and then observe [`PopResult::Closed`].
+    /// and then [`BoundedQueue::pop`] returns `None`.
     pub fn close(&self) {
         let mut state = poison::lock(&self.state);
         state.closed = true;
@@ -136,18 +110,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fifo_and_batching() {
+    fn fifo_order() {
         let q = BoundedQueue::new(8);
         for i in 0..5 {
             q.try_push(i).unwrap();
         }
-        match q.pop_batch(3, None) {
-            PopResult::Items(v) => assert_eq!(v, vec![0, 1, 2]),
-            other => panic!("{other:?}"),
-        }
-        match q.pop_batch(10, None) {
-            PopResult::Items(v) => assert_eq!(v, vec![3, 4]),
-            other => panic!("{other:?}"),
+        for i in 0..5 {
+            assert_eq!(q.pop(), Some(i));
         }
     }
 
@@ -168,17 +137,8 @@ mod tests {
         q.try_push(7).unwrap();
         q.close();
         assert!(matches!(q.try_push(8), Err(PushError::Closed(8))));
-        assert_eq!(q.pop_batch(4, None), PopResult::Items(vec![7]));
-        assert_eq!(q.pop_batch(4, None), PopResult::Closed);
-    }
-
-    #[test]
-    fn timeout_reports_empty() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(4);
-        assert_eq!(
-            q.pop_batch(4, Some(Duration::from_millis(5))),
-            PopResult::TimedOut
-        );
+        assert_eq!(q.pop(), Some(7));
+        assert_eq!(q.pop(), None);
     }
 
     /// Audit for the multi-connection ingress path (`crates/net` hands
@@ -217,9 +177,10 @@ mod tests {
         );
         assert_eq!(q.len(), CAPACITY);
         // Draining frees exactly the admitted slots, no phantoms.
+        q.close();
         let mut drained = 0;
-        while let PopResult::Items(v) = q.pop_batch(8, Some(Duration::from_millis(1))) {
-            drained += v.len();
+        while q.pop().is_some() {
+            drained += 1;
         }
         assert_eq!(drained, CAPACITY);
     }
@@ -243,13 +204,7 @@ mod tests {
             }
             {
                 let q = q.clone();
-                s.spawn(move || loop {
-                    match q.pop_batch(4, None) {
-                        PopResult::Items(_) => {}
-                        PopResult::Closed => return,
-                        PopResult::TimedOut => unreachable!("no timeout given"),
-                    }
-                });
+                s.spawn(move || while q.pop().is_some() {});
             }
             {
                 let q = q.clone();
@@ -263,7 +218,7 @@ mod tests {
             }
             // Producers finish first (scope join order is reverse-spawn, so
             // close after a short settle to release the consumer).
-            std::thread::sleep(Duration::from_millis(20));
+            std::thread::sleep(std::time::Duration::from_millis(20));
             q.close();
         });
         assert!(
@@ -301,16 +256,9 @@ mod tests {
             for _ in 0..2 {
                 let q = q.clone();
                 let total = total.clone();
-                s.spawn(move || loop {
-                    match q.pop_batch(8, None) {
-                        PopResult::Items(v) => {
-                            total.fetch_add(
-                                v.into_iter().sum::<u64>(),
-                                std::sync::atomic::Ordering::Relaxed,
-                            );
-                        }
-                        PopResult::Closed => return,
-                        PopResult::TimedOut => unreachable!("no timeout given"),
+                s.spawn(move || {
+                    while let Some(v) = q.pop() {
+                        total.fetch_add(v, std::sync::atomic::Ordering::Relaxed);
                     }
                 });
             }

@@ -21,11 +21,10 @@ use std::sync::atomic::Ordering::SeqCst;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use broadmatch::{AdId, AdInfo, BuildError, DeltaOverlay, MatchType};
+use broadmatch::{AdInfo, BuildError, DeltaOverlay};
 
 use crate::poison;
 use crate::runtime::{Generation, Inner};
-use crate::shard::ShardedIndex;
 
 /// Thresholds and cadence of the background compaction worker.
 #[derive(Debug, Clone)]
@@ -70,40 +69,6 @@ pub(crate) struct UpdateState {
     pub(crate) base_epoch: u64,
 }
 
-/// Apply a remove against `(sharded base, overlay)`: drop matching overlay
-/// inserts, then resolve the base victims with the paper's query-shaped
-/// delete — the phrase planned as an exact-match query, probes routed and
-/// executed shard by shard exactly like a serving query — and tombstone
-/// them. Exclusion filtering is skipped on purpose: deletion must find an
-/// ad even when the phrase contains one of its own exclusion words.
-pub(crate) fn apply_remove(
-    sharded: &ShardedIndex,
-    overlay: &mut DeltaOverlay,
-    phrase: &str,
-    listing_id: u64,
-) -> usize {
-    let local = overlay.remove_local(phrase, listing_id);
-    let mut tombstoned = 0;
-    if let Some(plan) = sharded.plan(phrase, MatchType::Exact) {
-        let mut victims: Vec<AdId> = Vec::new();
-        for shard in 0..sharded.n_shards() {
-            let batch = sharded.execute_shard(&plan, shard);
-            victims.extend(
-                batch
-                    .nodes
-                    .iter()
-                    .flat_map(|n| n.hits.iter())
-                    .filter(|h| h.info.listing_id == listing_id)
-                    .map(|h| h.ad),
-            );
-        }
-        // The same node can be reached from two shards (shared locators,
-        // hash collisions); the tombstone set deduplicates.
-        tombstoned = overlay.tombstone_ads(victims);
-    }
-    local + tombstoned
-}
-
 /// Fold the current overlay into a rebuilt base and republish.
 ///
 /// Protocol: under the update lock, note the op-log cut and the generation
@@ -121,7 +86,6 @@ pub(crate) fn apply_remove(
 /// Propagates rebuild failures; the overlay is left untouched.
 pub(crate) fn compact(
     inner: &Inner,
-    n_shards: usize,
     workload: Option<Vec<(String, u64)>>,
 ) -> Result<Option<u64>, BuildError> {
     loop {
@@ -133,11 +97,7 @@ pub(crate) fn compact(
         if base_gen.overlay.is_empty() {
             return Ok(None);
         }
-        let folded = Arc::new(
-            base_gen
-                .overlay
-                .fold(base_gen.sharded.index(), workload.clone())?,
-        );
+        let folded = Arc::new(base_gen.overlay.fold(&base_gen.index, workload.clone())?);
         let folded_ads = folded.stats().ads;
 
         let mut st = poison::lock(&inner.update);
@@ -145,7 +105,6 @@ pub(crate) fn compact(
         if current.base_epoch != base_gen.base_epoch {
             continue; // base swapped under the fold: re-cut and try again
         }
-        let sharded = ShardedIndex::new(Arc::clone(&folded), n_shards);
         let mut overlay = DeltaOverlay::for_base(&folded);
         for op in &st.log[cut..] {
             match op {
@@ -153,7 +112,7 @@ pub(crate) fn compact(
                     let _ = overlay.insert(phrase, *info); // validated when first applied
                 }
                 UpdateOp::Remove { phrase, listing_id } => {
-                    apply_remove(&sharded, &mut overlay, phrase, *listing_id);
+                    overlay.remove(&folded, phrase, *listing_id);
                 }
             }
         }
@@ -166,7 +125,7 @@ pub(crate) fn compact(
         let version = inner.version.fetch_add(1, SeqCst) + 1;
         inner.handles.overlay.set_overlay_state(&overlay);
         inner.snapshot.store(Arc::new(Generation {
-            sharded,
+            index: folded,
             overlay: Arc::new(overlay),
             version,
             base_epoch: st.base_epoch,
@@ -190,7 +149,6 @@ pub(crate) type StopSignal = (Mutex<bool>, Condvar);
 /// notify) and join it to shut down.
 pub(crate) fn spawn_compactor(
     inner: Arc<Inner>,
-    n_shards: usize,
     cfg: UpdateConfig,
     stop: Arc<StopSignal>,
 ) -> std::thread::JoinHandle<()> {
@@ -213,7 +171,7 @@ pub(crate) fn spawn_compactor(
                     // A failure here would equally fail a foreground
                     // reoptimize; keep serving from the overlay and retry
                     // on the next tick.
-                    let _ = compact(&inner, n_shards, cfg.workload.clone());
+                    let _ = compact(&inner, cfg.workload.clone());
                 }
                 stopped = poison::lock(lock);
             }

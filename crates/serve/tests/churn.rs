@@ -92,7 +92,6 @@ fn readers_stay_consistent_across_live_updates_and_compactions() {
     let runtime = ServeRuntime::start_maintained(
         Arc::clone(&base),
         ServeConfig {
-            n_shards: 4,
             n_workers: 4,
             ..ServeConfig::default()
         },

@@ -105,6 +105,16 @@ impl Histogram {
             .record(ms);
     }
 
+    /// Mean of the recorded observations in milliseconds (0 when empty).
+    /// Reads two moments under the lock and clones nothing, so it is cheap
+    /// enough to call on a hot refusal path.
+    pub fn mean_ms(&self) -> f64 {
+        self.inner
+            .lock()
+            .expect("histogram lock poisoned")
+            .mean_ms()
+    }
+
     /// Clone out the current state (counts, moments, reservoir).
     pub fn snapshot(&self) -> LatencyHistogram {
         self.inner.lock().expect("histogram lock poisoned").clone()
@@ -476,6 +486,18 @@ mod tests {
         );
         assert_eq!(label_body(&[("k", "a\"b\\c")]), "k=\"a\\\"b\\\\c\"");
         assert_eq!(label_body(&[]), "");
+    }
+
+    #[test]
+    fn histogram_mean_matches_its_snapshot() {
+        let r = Registry::new();
+        let h = r.histogram("service_ms", "Service time", &[]);
+        assert_eq!(h.mean_ms(), 0.0, "empty histogram");
+        for ms in [0.5, 1.5, 4.0] {
+            h.record(ms);
+        }
+        assert!((h.mean_ms() - 2.0).abs() < 1e-12);
+        assert_eq!(h.mean_ms(), h.snapshot().mean_ms());
     }
 
     #[test]

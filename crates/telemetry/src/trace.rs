@@ -4,8 +4,8 @@
 //! samples 1 in N: [`Tracer::maybe_trace`] is one `fetch_add` for the
 //! N-1 untraced queries and only allocates for the sampled one. A sampled
 //! query gets a [`TraceBuilder`]; instrumented stages open [`SpanGuard`]s
-//! around their work (plan, execute, finish, per-shard scatter/gather) and
-//! the guard's `Drop` records a monotonic start/duration pair. Finished
+//! around their work (queue wait, execute) and the guard's `Drop` records
+//! a monotonic start/duration pair. Finished
 //! traces land in a bounded ring buffer that callers (the `ad_server`
 //! `:trace` command, experiment reports) drain at leisure.
 
@@ -89,7 +89,9 @@ impl TraceBuilder {
         }
     }
 
-    fn push(&self, name: &'static str, start: Instant, end: Instant) {
+    /// Record a span that ran from `start` to `end`, for stages a
+    /// [`SpanGuard`] cannot cover (one that begins on another thread).
+    pub fn record(&self, name: &'static str, start: Instant, end: Instant) {
         let start_us = start.duration_since(self.origin).as_micros() as u64;
         let dur_us = end.duration_since(start).as_micros() as u64;
         self.spans
@@ -113,7 +115,7 @@ pub struct SpanGuard<'a> {
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        self.builder.push(self.name, self.start, Instant::now());
+        self.builder.record(self.name, self.start, Instant::now());
     }
 }
 

@@ -1,5 +1,5 @@
 //! A miniature ad server over stdin, served through the `broadmatch-serve`
-//! runtime: queries scatter across shard workers, and the index can be
+//! runtime: each query runs whole on a pool worker, and the index can be
 //! rebuilt and atomically swapped while queries are in flight.
 //!
 //! ```text
@@ -78,15 +78,8 @@ fn run_listen(addr: &str, shard: (usize, usize), seed: u64) {
     );
     let (_, index) = build_sharded(seed, shard);
     let stats = index.stats();
-    let runtime = ServeRuntime::start_maintained(
-        index,
-        ServeConfig {
-            n_shards: 4,
-            n_workers: 4,
-            ..ServeConfig::default()
-        },
-        UpdateConfig::default(),
-    );
+    let runtime =
+        ServeRuntime::start_maintained(index, ServeConfig::default(), UpdateConfig::default());
     let backend = match Backend::bind(addr, Arc::new(runtime), BackendConfig::default()) {
         Ok(b) => b,
         Err(e) => {
@@ -289,15 +282,8 @@ fn run_local() {
     eprintln!("building a 20K-ad synthetic index...");
     let (corpus, index) = build(7);
     let stats = index.stats();
-    let runtime = ServeRuntime::start_maintained(
-        index,
-        ServeConfig {
-            n_shards: 4,
-            n_workers: 4,
-            ..ServeConfig::default()
-        },
-        UpdateConfig::default(),
-    );
+    let runtime =
+        ServeRuntime::start_maintained(index, ServeConfig::default(), UpdateConfig::default());
     eprintln!(
         "ready: {} ads, {} word sets, {} nodes, {} KiB arena + {} KiB directory",
         stats.ads,
@@ -307,8 +293,7 @@ fn run_local() {
         stats.directory_bytes / 1024
     );
     eprintln!(
-        "serving via {} shards x {} workers (snapshot v1)",
-        runtime.config().n_shards,
+        "serving via {} workers (snapshot v1)",
         runtime.config().n_workers
     );
     eprintln!(
